@@ -24,8 +24,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__, data, influence, metrics, models, privacy, unlearn
-from .config import default_config, format_config, parse_config, parse_seeds
-from .errors import ConfigError, DomainError, SolverError, UnlearnForgeError
+from .config import default_config, parse_config, parse_seeds
+from .errors import ConfigError, SolverError, UnlearnForgeError
 from .modelio import load_model, save_model
 from .numcore import rng_stream
 from .smoothing import SmoothingPolicy

@@ -98,15 +98,11 @@ def delta_f(theta_tr_model: Model, retain: LabeledDataset, forget: LabeledDatase
 
 
 def nontarget_grad_sum(model: Model, forget: LabeledDataset) -> np.ndarray:
-    """sum over forget rows of sum_{y' != y} grad ce(x, y'), l2 included per term."""
-    total = np.zeros_like(model.theta)
-    for i in range(forget.n):
-        x = forget.X[i:i + 1]
-        for yp in range(model.K):
-            if yp == forget.y[i]:
-                continue
-            total += models.grad(model, x, onehot(np.array([yp]), model.K))
-    return total
+    """sum over forget rows of sum_{y' != y} grad ce(x, y'), l2 included per term.
+
+    grad is linear in the soft label: one call on rows (1 - onehot(y))/(K-1)."""
+    nontarget = (1.0 - onehot(forget.y, model.K)) / (model.K - 1)
+    return forget.n * (model.K - 1) * models.grad(model, forget.X, nontarget)
 
 
 def delta_n(theta_tr_model: Model, retain: LabeledDataset, forget: LabeledDataset,

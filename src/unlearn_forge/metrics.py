@@ -53,19 +53,20 @@ def ua(model: Model, forget: LabeledDataset) -> float:
     return 100.0 - accuracy(model, forget)
 
 
+def _sweep(member_losses: np.ndarray, nonmember_losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate thresholds (-inf, then the sorted unique losses) and, for
+    each, how many rows the rule ``loss > tau -> non-member`` gets right."""
+    candidates = np.concatenate([[-np.inf], np.unique(np.concatenate([member_losses, nonmember_losses]))])
+    members_le = np.searchsorted(np.sort(member_losses), candidates, side="right")
+    nonmembers_le = np.searchsorted(np.sort(nonmember_losses), candidates, side="right")
+    return candidates, members_le + (nonmember_losses.size - nonmembers_le)
+
+
 def _best_threshold(member_losses: np.ndarray, nonmember_losses: np.ndarray) -> float:
     """Threshold maximizing member/non-member accuracy for the rule
     ``loss > tau -> non-member``; smallest maximizer wins ties."""
-    losses = np.concatenate([member_losses, nonmember_losses])
-    candidates = np.concatenate([[-np.inf], np.sort(np.unique(losses))])
-    best_tau, best_acc = candidates[0], -1.0
-    n = losses.size
-    for tau in candidates:
-        correct = np.sum(member_losses <= tau) + np.sum(nonmember_losses > tau)
-        acc = correct / n
-        if acc > best_acc:
-            best_acc, best_tau = acc, tau
-    return float(best_tau)
+    candidates, correct = _sweep(member_losses, nonmember_losses)
+    return float(candidates[np.argmax(correct)])
 
 
 def mia_score(model: Model, forget: LabeledDataset, retain: LabeledDataset,
@@ -96,16 +97,9 @@ def mia_accuracy_additional(model: Model, forget: LabeledDataset, test: LabeledD
     """
     if forget.n == 0 or test.n == 0:
         raise DomainError("empty dataset")
-    lf = example_losses(model, forget)
-    lt = example_losses(model, test)
-    candidates = np.concatenate([[-np.inf], np.sort(np.unique(np.concatenate([lf, lt])))])
-    n = lf.size + lt.size
-    best = 0.0
-    for tau in candidates:
-        seen_low = (np.sum(lf <= tau) + np.sum(lt > tau)) / n
-        seen_high = (np.sum(lf > tau) + np.sum(lt <= tau)) / n
-        best = max(best, seen_low, seen_high)
-    return 100.0 * best
+    _, correct = _sweep(example_losses(model, forget), example_losses(model, test))
+    n = forget.n + test.n
+    return 100.0 * float(np.maximum(correct, n - correct).max() / n)
 
 
 def avg_gap(report: MetricsReport, retrain_report: MetricsReport) -> float:

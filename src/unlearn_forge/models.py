@@ -10,6 +10,9 @@ Two kinds are supported:
 The training objective is always the mean soft-label cross-entropy over the
 batch plus ``l2/2 * ||theta||^2``.  Soft-label rows must sum to 1 but entries
 may be negative (negative label smoothing).
+
+``minibatch_sgd`` is the one minibatch loop behind ``sgd_train`` and every
+iterative unlearning method; each caller supplies its per-batch gradient.
 """
 
 from __future__ import annotations
@@ -132,8 +135,10 @@ def _check_soft(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     if soft.shape != (X.shape[0], model.K):
         raise DimensionError(f"soft labels have shape {soft.shape}, expected ({X.shape[0]}, {model.K})")
     sums = soft.sum(axis=1)
-    # all-zero rows are allowed (no label weight); otherwise rows must sum to 1
-    bad = ~(np.isclose(sums, 1.0, atol=1e-9) | np.isclose(sums, 0.0, atol=1e-12))
+    # all-zero rows are allowed (no label weight); otherwise rows must sum to 1.
+    # Same test as np.isclose(sums, 1.0, atol=1e-9) | np.isclose(sums, 0.0, atol=1e-12),
+    # written out because np.isclose costs more than a batch-32 gradient itself
+    bad = ~((np.abs(sums - 1.0) <= 1e-9 + 1e-5) | (np.abs(sums) <= 1e-12))
     if np.any(bad):
         raise DomainError("soft label rows must sum to 1 (or be all zero)")
     return soft
@@ -154,7 +159,11 @@ def ce_loss(model: Model, X: np.ndarray, soft: np.ndarray) -> float:
 def grad(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     """Analytic gradient of ce_loss w.r.t. theta."""
     X = np.asarray(X, dtype=np.float64)
-    soft = _check_soft(model, X, soft)
+    return _grad(model, X, _check_soft(model, X, soft))
+
+
+def _grad(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
+    """grad without the input checks, for callers that made them once."""
     n = X.shape[0]
     if n == 0:
         return model.l2 * model.theta.copy()
@@ -207,26 +216,37 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     return H + model.l2 * np.eye(P)
 
 
+def minibatch_sgd(model: Model, n: int, cfg, rng: np.random.Generator, batch_grad,
+                  epoch_loss, name: str) -> tuple[Model, list[float]]:
+    """Per epoch, step ``theta -= cfg.lr * batch_grad(model_at_theta, idx)`` over the
+    ``cfg.batch_size`` slices of one ``rng.permutation(n)``, then record
+    ``epoch_loss(model_at_theta)``.  Ascent closures return the negated gradient.
+    Raises DomainError naming ``name`` once theta or the loss is not finite."""
+    theta = model.theta.copy()
+    history: list[float] = []
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            theta = theta - cfg.lr * batch_grad(model.with_theta(theta), order[start:start + cfg.batch_size])
+            if not np.isfinite(theta).all():
+                raise DomainError(f"{name} diverged in epoch {epoch}: parameters are no longer finite")
+        history.append(epoch_loss(model.with_theta(theta)))
+        if not np.isfinite(history[-1]):
+            raise DomainError(f"{name} diverged in epoch {epoch}: loss is {history[-1]}")
+    return model.with_theta(theta), history
+
+
 def sgd_train(model: Model, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
               rng: np.random.Generator | None = None) -> tuple[Model, list[float]]:
     """Deterministic mini-batch SGD on one-hot labels; returns per-epoch losses."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     if X.shape[0] == 0:
         raise DomainError("cannot train on an empty dataset")
-    labels = onehot(y, model.K)
+    labels = _check_soft(model, X, onehot(y, model.K))
     rng = rng if rng is not None else rng_stream(cfg.seed, 0)
-    theta = model.theta.copy()
-    history: list[float] = []
-    n = X.shape[0]
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            m = model.with_theta(theta)
-            theta = theta - cfg.lr * grad(m, X[idx], labels[idx])
-        history.append(ce_loss(model.with_theta(theta), X, labels))
-    return model.with_theta(theta), history
+    return minibatch_sgd(model, X.shape[0], cfg, rng,
+                         lambda m, idx: _grad(m, X[idx], labels[idx]),
+                         lambda m: ce_loss(m, X, labels), "sgd_train")
 
 
 def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray,

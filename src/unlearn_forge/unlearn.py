@@ -4,6 +4,9 @@ Methods: retrain, finetune (FT), gradient_ascent (GA), random_label (RL),
 influence_unlearn (IU), ugradsl, ugradsl_plus.  Each returns an
 UnlearnResult with the unlearned model, wall-clock seconds of the unlearning
 call only, and per-epoch loss history.
+
+Every iterative method runs on the one minibatch loop ``models.minibatch_sgd``,
+FT and RL through ``models.sgd_train``, the others with their own batch gradients.
 """
 
 from __future__ import annotations
@@ -90,21 +93,10 @@ def gradient_ascent(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: U
     _require_nonempty(split, retain=False)
     forget = ds.subset(split.forget_idx)
     labels = onehot(forget.y, model.K)
-
-    def run():
-        rng = rng_stream(cfg.seed, 2)
-        theta = model.theta.copy()
-        history = []
-        n = forget.n
-        for _ in range(cfg.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                m = model.with_theta(theta)
-                theta = theta + cfg.lr * models.grad(m, forget.X[idx], labels[idx])
-            history.append(models.ce_loss(model.with_theta(theta), forget.X, labels))
-        return model.with_theta(theta), history
-    return _timed(run)
+    return _timed(lambda: models.minibatch_sgd(
+        model, forget.n, cfg, rng_stream(cfg.seed, 2),
+        lambda m, idx: -models._grad(m, forget.X[idx], labels[idx]),
+        lambda m: models.ce_loss(m, forget.X, labels), "ga"))
 
 
 def random_label(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: UnlearnConfig) -> UnlearnResult:
@@ -152,7 +144,7 @@ def influence_unlearn(model: Model, ds: LabeledDataset, split: ForgetSplit,
 
 def _ugradsl_run(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: UnlearnConfig,
                  retain_driven: bool) -> UnlearnResult:
-    """Shared loop for ugradsl (forget-driven) and ugradsl_plus (retain-driven).
+    """Shared runner for ugradsl (forget-driven) and ugradsl_plus (retain-driven).
 
     The driving set is iterated in shuffled batches each epoch; the other set
     is re-sampled with replacement to the same batch size each step.
@@ -160,32 +152,20 @@ def _ugradsl_run(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: Unle
     _require_nonempty(split)
     retain = ds.subset(split.retain_idx)
     forget = ds.subset(split.forget_idx)
+    labels = onehot(forget.y, model.K)
+    drive_n, other_n = (retain.n, forget.n) if retain_driven else (forget.n, retain.n)
+    rng = rng_stream(cfg.seed, 4)
 
-    def run():
-        rng = rng_stream(cfg.seed, 4)
-        theta = model.theta.copy()
-        history = []
-        drive = retain if retain_driven else forget
-        other = forget if retain_driven else retain
-        for _ in range(cfg.epochs):
-            order = rng.permutation(drive.n)
-            for start in range(0, drive.n, cfg.batch_size):
-                d_idx = order[start:start + cfg.batch_size]
-                o_idx = rng.integers(other.n, size=d_idx.size)
-                if retain_driven:
-                    r_idx, f_idx = d_idx, o_idx
-                else:
-                    r_idx, f_idx = o_idx, d_idx
-                Xr, yr = retain.X[r_idx], retain.y[r_idx]
-                Xf, yf = forget.X[f_idx], forget.y[f_idx]
-                m = model.with_theta(theta)
-                alphas = smoothing.batch_alphas(cfg.smoothing, Xr, Xf)
-                soft_f = smoothing.gls_labels(yf, model.K, alphas)
-                theta = theta - cfg.lr * smoothing.mixed_grad(m, Xr, yr, Xf, soft_f, cfg.p)
-            m = model.with_theta(theta)
-            history.append(models.ce_loss(m, forget.X, onehot(forget.y, model.K)))
-        return model.with_theta(theta), history
-    return _timed(run)
+    def batch_grad(m, d_idx):
+        o_idx = rng.integers(other_n, size=d_idx.size)
+        r_idx, f_idx = (d_idx, o_idx) if retain_driven else (o_idx, d_idx)
+        Xr, Xf = retain.X[r_idx], forget.X[f_idx]
+        alphas = smoothing.batch_alphas(cfg.smoothing, Xr, Xf)
+        soft_f = smoothing.gls_labels(forget.y[f_idx], model.K, alphas)
+        return smoothing.mixed_grad(m, Xr, retain.y[r_idx], Xf, soft_f, cfg.p)
+    return _timed(lambda: models.minibatch_sgd(model, drive_n, cfg, rng, batch_grad,
+                                               lambda m: models.ce_loss(m, forget.X, labels),
+                                               "ugradsl_plus" if retain_driven else "ugradsl"))
 
 
 def ugradsl(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: UnlearnConfig) -> UnlearnResult:

@@ -85,6 +85,18 @@ class TestDeltaDirections:
         total = sum(models.grad(zero, x, onehot(np.array([y]), ds.K)) for y in range(ds.K))
         np.testing.assert_allclose(total, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("K", [2, 3, 7])
+    def test_nontarget_grad_sum_matches_per_label_loop(self, K):
+        # reference: one single-row gradient per (forget row, wrong label);
+        # the one-call form sums in another order, so allow float64 rounding
+        # over every summed term
+        theta_tr, _, ds, retain, forget, _ = newton_instance(seed=2, K=K, d=3)
+        terms = [models.grad(theta_tr, forget.X[i:i + 1], onehot(np.array([yp]), K))
+                 for i in range(forget.n) for yp in range(K) if yp != forget.y[i]]
+        tol = len(terms) * np.finfo(np.float64).eps * np.abs(terms).sum(axis=0)
+        got = influence.nontarget_grad_sum(theta_tr, forget)
+        assert np.all(np.abs(got - np.sum(terms, axis=0)) <= tol)
+
     def test_delta_n_order_invariant(self, instance):
         theta_tr, _, ds, retain, forget, _ = instance
         perm = np.random.default_rng(0).permutation(forget.n)

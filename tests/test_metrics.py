@@ -115,6 +115,22 @@ class TestAdditionalMia:
         m = models.init_model("logistic", 2, 2).with_theta(np.array([2.0, 0, -2.0, 0, 0, 0]))
         assert mia_accuracy_additional(m, forget, test) == 100.0
 
+    def test_matches_bruteforce_sweep_with_ties(self, rng):
+        # a few distinct rows repeated across both sets, so losses tie within
+        # and across the forget and test rows
+        base = make_blobs(seed=5, K=3, per_class=3, d=3)
+        forget = base.subset(rng.integers(base.n, size=23))
+        test = base.subset(rng.integers(base.n, size=17))
+        m = random_model(rng, d=3, K=3)
+        lf, lt = example_losses(m, forget), example_losses(m, test)
+        assert np.intersect1d(lf, lt).size > 0
+        best = 0.0
+        for tau in np.concatenate([[-np.inf], np.unique(np.concatenate([lf, lt]))]):
+            seen_low = (np.sum(lf <= tau) + np.sum(lt > tau)) / (lf.size + lt.size)
+            seen_high = (np.sum(lf > tau) + np.sum(lt <= tau)) / (lf.size + lt.size)
+            best = max(best, seen_low, seen_high)
+        assert mia_accuracy_additional(m, forget, test) == 100.0 * best
+
 
 class TestAggregates:
     def test_avg_gap_identical_zero(self):

@@ -80,6 +80,22 @@ class TestCeLoss:
         with pytest.raises(DomainError):
             ce_loss(m, np.zeros((1, 2)), np.array([[0.7, 0.7]]))
 
+    def test_row_sum_tolerance_matches_isclose(self, rng):
+        # row sums on both sides of each tolerance edge, plus non-finite sums
+        m = random_model(rng, d=2, K=2)
+        edge1, edge0 = 1e-9 + 1e-5, 1e-12
+        sums = [1.0, 1.0 + edge1, np.nextafter(1.0 + edge1, 2.0), 1.0 - edge1,
+                np.nextafter(1.0 - edge1, 0.0), 0.0, edge0, np.nextafter(edge0, 1.0), -edge0,
+                np.nextafter(-edge0, -1.0), 0.5, np.inf, -np.inf, np.nan]
+        for s in sums:
+            expected = bool(np.isclose(s, 1.0, atol=1e-9) | np.isclose(s, 0.0, atol=1e-12))
+            soft = np.array([[s, 0.0]])
+            if expected:
+                ce_loss(m, np.zeros((1, 2)), soft)
+            else:
+                with pytest.raises(DomainError):
+                    ce_loss(m, np.zeros((1, 2)), soft)
+
 
 class TestGrad:
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
