@@ -70,12 +70,15 @@ def build_split(cfg: dict, ds: data.LabeledDataset,
     raise ConfigError(f"unknown paradigm {paradigm!r}")
 
 
+def train_config(cfg: dict, seed: int) -> models.TrainConfig:
+    return models.TrainConfig(epochs=cfg["train.epochs"], batch_size=cfg["train.batch_size"],
+                              lr=cfg["train.lr"], seed=seed)
+
+
 def train_original(cfg: dict, ds: data.LabeledDataset) -> models.Model:
     model = models.init_model(cfg["model.kind"], ds.d, ds.K, cfg["model.l2"],
                               cfg["model.hidden"], rng_stream(cfg["train.seed"], 13))
-    tc = models.TrainConfig(epochs=cfg["train.epochs"], batch_size=cfg["train.batch_size"],
-                            lr=cfg["train.lr"], seed=cfg["train.seed"])
-    trained, _ = models.sgd_train(model, ds.X, ds.y, tc)
+    trained, _ = models.sgd_train(model, ds.X, ds.y, train_config(cfg, cfg["train.seed"]))
     return trained
 
 
@@ -92,9 +95,7 @@ def _bench_cell(task):
     """One (method, seed) benchmark cell; module-level for multiprocessing."""
     (method, seed, cfg, ds, test, split, model) = task
     ucfg = unlearn_config(cfg, method, seed)
-    tc = models.TrainConfig(epochs=cfg["train.epochs"], batch_size=cfg["train.batch_size"],
-                            lr=cfg["train.lr"], seed=seed)
-    result = unlearn.run_method(method, model, ds, split, ucfg, train_cfg=tc)
+    result = unlearn.run_method(method, model, ds, split, ucfg, train_cfg=train_config(cfg, seed))
     forget = ds.subset(split.forget_idx)
     retain = ds.subset(split.retain_idx)
     report = metrics.evaluate(result.model, forget, retain, test,
@@ -313,9 +314,7 @@ def cmd_unlearn(args) -> int:
     method = args.method or [m.strip() for m in cfg["unlearn.methods"].split(",")][0]
     seed = parse_seeds(cfg["seeds"])[0]
     ucfg = unlearn_config(cfg, method, seed)
-    tc = models.TrainConfig(epochs=cfg["train.epochs"], batch_size=cfg["train.batch_size"],
-                            lr=cfg["train.lr"], seed=seed)
-    result = unlearn.run_method(method, model, ds, split, ucfg, train_cfg=tc)
+    result = unlearn.run_method(method, model, ds, split, ucfg, train_cfg=train_config(cfg, seed))
     rep = metrics.evaluate(result.model, ds.subset(split.forget_idx),
                            ds.subset(split.retain_idx), eval_test,
                            rte_seconds=result.rte_seconds, seed=seed,

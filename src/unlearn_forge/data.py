@@ -53,12 +53,11 @@ class ForgetSplit:
     detail: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        r = set(self.retain_idx.tolist())
-        f = set(self.forget_idx.tolist())
-        if r & f:
-            raise DomainError("retain and forget overlap")
-        if not f:
+        if self.forget_idx.size == 0:
             raise DomainError("forget set is empty")
+        both = np.concatenate([self.retain_idx, self.forget_idx])
+        if both.min() < 0 or np.unique(both).size != both.size:
+            raise DomainError("split indices must be nonnegative, distinct and not in both sets")
 
 
 def gen_blobs(K: int, per_class: int, d: int, spread: float,

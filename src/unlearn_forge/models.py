@@ -22,12 +22,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, UnsupportedModelError
-from .numcore import rng_stream, softmax_rows
+from .errors import DimensionError, DomainError, SolverError, UnsupportedModelError
+from .numcore import rng_stream, softmax_rows, solve_damped
 
 log = logging.getLogger("unlearn_forge")
 
 _P_FLOOR = 1e-300
+
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITER = 200
+NEWTON_DAMPING = 1e-9
 
 
 @dataclass(frozen=True)
@@ -207,10 +211,8 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     H_aug = np.einsum("nkl,ni,nj->kilj", A, Xt, Xt) / n
     H_aug = H_aug.reshape(K * (d + 1), K * (d + 1))
     # reorder from per-class [w_k, b_k] blocks to the flat [W.ravel(), b] layout
-    perm = np.empty(P, dtype=np.int64)
-    for k in range(K):
-        perm[k * d:(k + 1) * d] = np.arange(k * (d + 1), k * (d + 1) + d)
-        perm[K * d + k] = k * (d + 1) + d
+    starts = np.arange(K)[:, None] * (d + 1)
+    perm = np.concatenate([(starts + np.arange(d)).ravel(), starts.ravel() + d])
     H = H_aug[np.ix_(perm, perm)]
     H = 0.5 * (H + H.T)
     return H + model.l2 * np.eye(P)
@@ -249,23 +251,25 @@ def sgd_train(model: Model, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
                          lambda m: ce_loss(m, X, labels), "sgd_train")
 
 
-def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray,
-                    tol: float = 1e-8, max_iter: int = 200, damping: float = 1e-9) -> Model:
-    """Full-batch damped Newton to gradient norm <= tol (logistic only).
+def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
+    """Full-batch damped Newton to gradient norm <= NEWTON_TOL (logistic only).
 
     With l2 > 0 the objective is strongly convex, so this converges to the
-    unique optimum; used wherever exact stationarity is required.
+    unique optimum; used wherever exact stationarity is required.  Steps solve
+    (H + NEWTON_DAMPING I) step = g and backtrack; raises SolverError when no
+    step size lowers the loss or NEWTON_MAX_ITER steps end above NEWTON_TOL.
     """
     if model.kind != "logistic":
         raise UnsupportedModelError("newton_optimize requires the logistic model")
     m = model
-    for _ in range(max_iter):
+    for it in range(NEWTON_MAX_ITER + 1):
         g = grad(m, X, soft)
-        if np.linalg.norm(g) <= tol:
+        g_norm = np.linalg.norm(g)
+        if g_norm <= NEWTON_TOL:
             return m
-        H = hessian(m, X, soft)
-        step = np.linalg.solve(H + damping * np.eye(H.shape[0]), g)
-        # backtracking keeps the step safe far from the optimum
+        if it == NEWTON_MAX_ITER:
+            raise SolverError(f"newton_optimize: gradient norm {g_norm:.3e} after {it} iterations")
+        step = solve_damped(hessian(m, X, soft), g, NEWTON_DAMPING)
         t = 1.0
         f0 = ce_loss(m, X, soft)
         while t > 1e-8:
@@ -275,5 +279,4 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray,
                 break
             t *= 0.5
         else:
-            m = m.with_theta(m.theta - 1e-8 * step)
-    return m
+            raise SolverError(f"newton_optimize: no descent step at gradient norm {g_norm:.3e}")

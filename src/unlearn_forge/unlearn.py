@@ -103,13 +103,11 @@ def random_label(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: Unle
     """Relabel the forget rows with uniformly random wrong labels, then
     descend on retain plus relabeled forget rows."""
     _require_nonempty(split)
-    if model.K < 2:
-        raise DomainError("need K >= 2")
     rng = rng_stream(cfg.seed, 3)
     y_new = ds.y.copy()
-    for i in split.forget_idx:
-        wrong = [c for c in range(ds.K) if c != ds.y[i]]
-        y_new[i] = wrong[rng.integers(len(wrong))]
+    # the r-th class other than y, for r uniform in [0, K-1)
+    r = rng.integers(ds.K - 1, size=split.forget_idx.size)
+    y_new[split.forget_idx] = r + (r >= ds.y[split.forget_idx])
     idx = np.sort(np.concatenate([split.retain_idx, split.forget_idx]))
     X, y = ds.X[idx], y_new[idx]
     tc = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed)
@@ -120,25 +118,22 @@ def influence_unlearn(model: Model, ds: LabeledDataset, split: ForgetSplit,
                       damping: float = DEFAULT_DAMPING) -> UnlearnResult:
     """Single closed-form influence update, no iterations.
 
-    theta_u = theta + [H_tr - H_f + damping I]^{-1} g_f with sum Hessians
-    over the train/forget rows and g_f the summed forget gradient (the
-    forget-weight -1 direction).  Per-example losses include the l2 term.
+    theta_u = theta + [H_r + damping I]^{-1} g_f with H_r the sum Hessian
+    over the retain rows and g_f the summed forget gradient (the
+    forget-weight -1 direction).  Per-example losses include the l2 term,
+    so sum Hessians add over rows and H_r = H_tr - H_f exactly.
     """
     if model.kind != "logistic":
         raise UnsupportedModelError("influence unlearning needs the exact logistic Hessian")
     _require_nonempty(split, retain=False)
 
     def run():
-        tr_idx = np.sort(np.concatenate([split.retain_idx, split.forget_idx]))
-        Xtr, ytr = ds.X[tr_idx], ds.y[tr_idx]
+        Xr, yr = ds.X[split.retain_idx], ds.y[split.retain_idx]
         Xf, yf = ds.X[split.forget_idx], ds.y[split.forget_idx]
-        n_tr, n_f = Xtr.shape[0], Xf.shape[0]
-        # sum-objective Hessians and gradient (mean * n); l2 attributed per example
-        H_tr = n_tr * models.hessian(model, Xtr, onehot(ytr, model.K))
-        H_f = n_f * models.hessian(model, Xf, onehot(yf, model.K))
-        g_f = n_f * models.grad(model, Xf, onehot(yf, model.K))
-        delta = solve_damped(H_tr - H_f, g_f, damping)
-        return model.with_theta(model.theta + delta), []
+        # sum-objective Hessian and gradient (mean * n); l2 attributed per example
+        H_r = Xr.shape[0] * models.hessian(model, Xr, onehot(yr, model.K))
+        g_f = Xf.shape[0] * models.grad(model, Xf, onehot(yf, model.K))
+        return model.with_theta(model.theta + solve_damped(H_r, g_f, damping)), []
     return _timed(run)
 
 

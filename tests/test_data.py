@@ -133,6 +133,15 @@ class TestForgetSplitInvariants:
         with pytest.raises(DomainError):
             data.ForgetSplit(np.array([0, 1]), np.array([], dtype=int), "random")
 
+    @pytest.mark.parametrize("retain, forget", [
+        (np.arange(4), np.array([-1])),  # would name row n-1, which retain holds
+        (np.array([0, 0, 1]), np.array([2])),
+        (np.array([0, 1]), np.array([2, 2])),
+    ], ids=["negative", "duplicate-retain", "duplicate-forget"])
+    def test_negative_or_repeated_index_rejected(self, retain, forget):
+        with pytest.raises(DomainError):
+            data.ForgetSplit(retain, forget, "random")
+
 
 class TestFileRoundTrip:
     def test_bit_identical(self, tmp_path):

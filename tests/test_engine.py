@@ -2,9 +2,11 @@
 
 The oracles below write out shuffle -> batch -> step by hand, with the
 public (checked) gradients and one RNG draw order: a permutation per epoch,
-then, for UGradSL, the partner indices of each batch.  Every engine caller
-must reproduce them bit for bit, so any change to the RNG draws, the batch
-slicing or the update arithmetic shows up here.
+then, for UGradSL, the partner indices of each batch.  The random-label
+oracle first draws one wrong label per forget row, row by row, from the RNG
+it then trains with.  Every engine caller must reproduce them bit for bit,
+so any change to the RNG draws, the batch slicing or the update arithmetic
+shows up here.
 """
 
 import numpy as np
@@ -69,6 +71,17 @@ def oracle_ugradsl(model, retain, forget, cfg, retain_driven):
     return theta, history
 
 
+def oracle_random_label(model, ds, split, cfg):
+    rng = rng_stream(cfg.seed, 3)
+    y_new = ds.y.copy()
+    for i in split.forget_idx:
+        wrong = [c for c in range(ds.K) if c != ds.y[i]]
+        y_new[i] = wrong[rng.integers(len(wrong))]
+    idx = np.sort(np.concatenate([split.retain_idx, split.forget_idx]))
+    tc = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed)
+    return oracle_sgd_train(model, ds.X[idx], y_new[idx], tc, rng)
+
+
 @pytest.fixture(scope="module")
 def setup():
     ds = make_blobs(seed=4, K=3, per_class=23, d=4)
@@ -101,6 +114,15 @@ class TestEngineMatchesOracle:
         r = unlearn.gradient_ascent(trained, ds, split, cfg)
         assert_same(r.model.theta, r.history,
                     oracle_gradient_ascent(trained, ds.subset(split.forget_idx), cfg))
+
+    @pytest.mark.parametrize("K", [2, 3, 10])
+    def test_random_label(self, K):
+        ds = make_blobs(seed=6, K=K, per_class=9, d=4)
+        split = data.split_random(ds, 0.4, rng_stream(6, 7))
+        model = models.init_model("logistic", 4, K)
+        cfg = UnlearnConfig(method="rl", epochs=2, lr=0.05, batch_size=5, seed=8)
+        r = unlearn.random_label(model, ds, split, cfg)
+        assert_same(r.model.theta, r.history, oracle_random_label(model, ds, split, cfg))
 
     @pytest.mark.parametrize("policy", [SmoothingPolicy(mode="fixed", alpha=-0.5),
                                         SmoothingPolicy(mode="fixed", alpha=0.4),

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs, random_model
-from unlearn_forge import models
-from unlearn_forge.errors import DimensionError, DomainError, UnsupportedModelError
+from unlearn_forge import cli, models
+from unlearn_forge.errors import DimensionError, DomainError, SolverError, UnsupportedModelError
 from unlearn_forge.models import Model, TrainConfig, ce_loss, forward, grad, hessian, onehot
 from unlearn_forge.numcore import finite_diff_grad, rng_stream
 
@@ -125,6 +125,28 @@ class TestGrad:
         m = random_model(rng, d=3, K=2, l2=0.05)
         g = grad(m, rng.standard_normal((3, 3)), np.zeros((3, 2)))
         np.testing.assert_allclose(g, 0.05 * m.theta, rtol=1e-12)
+
+
+class TestNewtonFailures:
+    def test_iteration_budget_exhausted_raises(self, monkeypatch):
+        ds = make_blobs(seed=3, K=2, per_class=15, d=3)
+        monkeypatch.setattr(models, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(SolverError, match="after 1 iterations"):
+            models.newton_optimize(models.init_model("logistic", 3, 2), ds.X, onehot(ds.y, 2))
+
+    def test_no_descent_step_raises(self, monkeypatch):
+        ds = make_blobs(seed=3, K=2, per_class=15, d=3)
+        solve = models.solve_damped
+        monkeypatch.setattr(models, "solve_damped", lambda A, b, damping: -solve(A, b, damping))
+        with pytest.raises(SolverError, match="no descent step"):
+            models.newton_optimize(models.init_model("logistic", 3, 2), ds.X, onehot(ds.y, 2))
+
+    def test_cli_exit_code_4(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(models, "NEWTON_MAX_ITER", 1)
+        p = tmp_path / "theory.cfg"
+        p.write_text("theory.instances = 1\n")
+        assert cli.main(["verify-theory", "--config", str(p), "--format", "machine"]) == 4
+        assert "newton_optimize" in capsys.readouterr().err
 
 
 class TestHessian:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
-from unlearn_forge import data, models, smoothing, unlearn
+from unlearn_forge import data, influence, models, smoothing, unlearn
 from unlearn_forge.errors import DomainError, UnsupportedModelError
 from unlearn_forge.models import TrainConfig, onehot
 from unlearn_forge.numcore import rng_stream
@@ -130,6 +130,15 @@ class TestInfluenceUnlearn:
         d_true = theta_loo.theta - theta_tr.theta
         cos = d_iu @ d_true / (np.linalg.norm(d_iu) * np.linalg.norm(d_true))
         assert cos >= 0.95
+
+    @pytest.mark.parametrize("paradigm", ["classwise", "random"])
+    def test_equals_theta_plus_delta_f(self, setup, paradigm):
+        ds, split, trained = setup
+        if paradigm == "random":
+            split = data.split_random(ds, 0.3, rng_stream(2, 12))
+        res = unlearn.influence_unlearn(trained, ds, split, damping=1e-3)
+        df = influence.delta_f(trained, ds.subset(split.retain_idx), ds.subset(split.forget_idx), 1e-3)
+        assert res.model.theta.tobytes() == (trained.theta + df).tobytes()
 
     def test_more_damping_shrinks_update(self, setup):
         ds, split, trained = setup
