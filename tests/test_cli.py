@@ -172,3 +172,32 @@ class TestSubcommands:
     def test_log_env_validation(self, monkeypatch):
         monkeypatch.setenv("UNLEARN_FORGE_LOG", "verbose")
         assert cli.main(["ldp", "--k", "10", "--alpha", "-1", "--gamma1", "2", "--gamma2", "1"]) == 2
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command", ["unlearn", "benchmark"])
+    @pytest.mark.parametrize("spec", ["bogus", ""])
+    def test_bad_methods_exit_2(self, tmp_path, capsys, command, spec):
+        cfgp = write_cfg(tmp_path, f"unlearn.methods = {spec}\n")
+        assert cli.main([command, "--config", cfgp]) == 2
+        assert "unlearn.methods" in capsys.readouterr().err
+
+    def test_non_integer_groups_exit_2(self, tmp_path, capsys):
+        cfgp = write_cfg(tmp_path, "split.paradigm = group\nsplit.groups = a,b\n")
+        assert cli.main(["benchmark", "--config", cfgp]) == 2
+        assert "split.groups" in capsys.readouterr().err
+
+    def test_out_checked_before_work(self, tmp_path, monkeypatch):
+        def fail(*_):
+            raise AssertionError("called before --out was checked")
+        monkeypatch.setattr(cli, "build_datasets", fail)
+        monkeypatch.setattr(cli, "train_original", fail)
+        assert cli.main(["train", "--config", write_cfg(tmp_path)]) == 2
+        assert cli.main(["gen-data", "--config", write_cfg(tmp_path)]) == 2
+
+    def test_file_label_past_k_exit_3(self, tmp_path, capsys):
+        csv = tmp_path / "ds.csv"
+        assert cli.main(["gen-data", "--config", write_cfg(tmp_path), "--out", str(csv)]) == 0
+        cfgp = write_cfg(tmp_path, f"data.file = {csv}\ndata.k = 2\n")
+        assert cli.main(["train", "--config", cfgp, "--out", str(tmp_path / "m.model")]) == 3
+        assert "label 2 >= K=2" in capsys.readouterr().err

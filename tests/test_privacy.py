@@ -107,3 +107,42 @@ class TestRatioBound:
         assert rep.empirical_max_log_ratio <= rep.epsilon + 1e-9
         assert rep.p_target + (K - 1) * rep.p_other == pytest.approx(1.0, abs=1e-12)
         assert 0 < rep.p_other < 1 and 0 < rep.p_target < 1
+
+
+def loop_max_log_ratio(params):
+    """The brute-force triple loop over (y, y', y_pred), kept as an oracle."""
+    p_target, p_other = optimal_prediction_distribution(params)
+
+    def prob(true_label, pred):
+        return p_target if pred == true_label else p_other
+
+    best = -math.inf
+    for y in range(params.K):
+        for y2 in range(params.K):
+            for pred in range(params.K):
+                best = max(best, math.log(prob(y, pred) / prob(y2, pred)))
+    return best
+
+
+class TestRatioTable:
+    @pytest.mark.parametrize("K", [2, 3, 5, 10, 37, 100])
+    @pytest.mark.parametrize("alpha", [-0.1, -0.45, -0.9])
+    def test_table_bit_identical_to_loop(self, K, alpha):
+        params = LdpParams(K=K, alpha=alpha, gamma1=2.0, gamma2=1.0)
+        rep = verify_ratio_bound(params)
+        assert rep.empirical_max_log_ratio == loop_max_log_ratio(params)
+
+    @given(st.integers(min_value=2, max_value=12),
+           st.floats(min_value=-5.0, max_value=-1e-3),
+           st.floats(min_value=1e-2, max_value=10.0),
+           st.floats(min_value=1e-2, max_value=10.0))
+    @settings(max_examples=100, deadline=None)
+    def test_table_matches_loop_for_valid_params(self, K, alpha, gamma1, gamma2):
+        params = valid_params(K, alpha, gamma1, gamma2)
+        if params is None:
+            return
+        try:
+            rep = verify_ratio_bound(params)
+        except DomainError:
+            return  # nonpositive log argument
+        assert rep.empirical_max_log_ratio == loop_max_log_ratio(params)
