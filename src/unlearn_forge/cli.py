@@ -125,7 +125,13 @@ def cmd_unlearn(args) -> int:
     seed = parse_seeds(cfg["seeds"])[0]
     ds, test = build_datasets(cfg)
     split, eval_test = build_split(cfg, ds, test)
-    model = load_model(args.model) if args.model else train_original(cfg, ds)
+    if args.model:
+        model = load_model(args.model)
+        if (model.d, model.K) != (ds.d, ds.K):
+            raise ConfigError(f"model {args.model} has (d, K) = ({model.d}, {model.K}), "
+                              f"the data has ({ds.d}, {ds.K})")
+    else:
+        model = train_original(cfg, ds)
     result, report = run_cell(cfg, method, seed, ds, eval_test, split, model)
     if args.out:
         save_model(result.model, args.out)

@@ -82,18 +82,19 @@ def parse_config(path) -> dict:
 
 
 def parse_seeds(spec: str) -> list[int]:
-    """Seed list: '3', '0,1,2', or inclusive range '0..4'."""
+    """Seed list: '3', '0,1,2', or inclusive range '0..4'; at least one seed."""
     spec = spec.strip()
     try:
         if ".." in spec:
             lo, hi = spec.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ConfigError(f"empty seed range {spec!r}")
-            return list(range(lo, hi + 1))
-        return [int(part) for part in spec.split(",") if part.strip() != ""]
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(part) for part in spec.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad seed list {spec!r}: {exc}") from exc
+    if not seeds:
+        raise ConfigError(f"seed list {spec!r} names no seed")
+    return seeds
 
 
 def format_config(cfg: dict) -> str:

@@ -164,11 +164,12 @@ def load_dataset(path, K: int | None = None) -> LabeledDataset:
         d = len(cols) - (2 if has_group else 1)
         if cols[:d] != [f"f{i}" for i in range(d)] or cols[d] != "label":
             raise DomainError(f"malformed dataset header: {header!r}")
-        X_rows, y_rows, g_rows = [], [], []
+        X_rows, y_rows, g_rows, linenos = [], [], [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
+            linenos.append(lineno)
             parts = line.split(",")
             if len(parts) != len(cols):
                 raise DomainError(f"line {lineno}: expected {len(cols)} fields, got {len(parts)}")
@@ -180,6 +181,9 @@ def load_dataset(path, K: int | None = None) -> LabeledDataset:
             except ValueError as exc:
                 raise DomainError(f"line {lineno}: {exc}") from exc
     X = np.array(X_rows, dtype=np.float64).reshape(len(X_rows), d)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"line {linenos[int(np.argmin(finite))]}: non-finite feature value")
     y = np.array(y_rows, dtype=np.int64)
     if K is None:
         K = int(y.max()) + 1 if y.size else 2

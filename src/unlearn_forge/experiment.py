@@ -92,8 +92,7 @@ def run_cell(cfg: dict, method: str, seed: int, ds: data.LabeledDataset,
     result = unlearn.run_method(method, model, ds, split, ucfg, train_cfg=train_config(cfg, seed))
     report = metrics.evaluate(result.model, ds.subset(split.forget_idx),
                               ds.subset(split.retain_idx), test,
-                              rte_seconds=result.rte_seconds, seed=seed,
-                              with_additional_mia=True)
+                              rte_seconds=result.rte_seconds, seed=seed)
     return result, report
 
 

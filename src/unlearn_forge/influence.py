@@ -32,11 +32,6 @@ from .numcore import DEFAULT_DAMPING, solve_damped
 STATIONARITY_WARN = 1e-3
 
 
-def _check_logistic(model: Model):
-    if model.kind != "logistic":
-        raise UnsupportedModelError("theory checks require the logistic model")
-
-
 def _sum_hessian(model: Model, X, y) -> np.ndarray:
     return X.shape[0] * models.hessian(model, X, onehot(y, model.K))
 
@@ -69,7 +64,8 @@ def influence_of(z: tuple[np.ndarray, int], model: Model, ds: LabeledDataset,
                  damping: float = DEFAULT_DAMPING) -> np.ndarray:
     """-(H + damping I)^{-1} grad l(theta, z) with H the Hessian of the
     dataset objective at a near-stationary theta."""
-    _check_logistic(model)
+    if model.kind != "logistic":  # before the stationarity check, which an MLP would reach
+        raise UnsupportedModelError("theory checks require the logistic model")
     x, y = z
     g_full = models.grad(model, ds.X, onehot(ds.y, model.K))
     if np.linalg.norm(g_full) > 1e-4:
@@ -82,7 +78,6 @@ def influence_of(z: tuple[np.ndarray, int], model: Model, ds: LabeledDataset,
 def delta_r(theta_r_model: Model, tr: LabeledDataset,
             damping: float = DEFAULT_DAMPING) -> np.ndarray:
     """Learning-gap direction evaluated at the retrained optimum."""
-    _check_logistic(theta_r_model)
     H = _sum_hessian(theta_r_model, tr.X, tr.y)
     g = _sum_grad(theta_r_model, tr.X, tr.y)
     return solve_damped(H, g, damping)
@@ -90,8 +85,11 @@ def delta_r(theta_r_model: Model, tr: LabeledDataset,
 
 def delta_f(theta_tr_model: Model, retain: LabeledDataset, forget: LabeledDataset,
             damping: float = DEFAULT_DAMPING) -> np.ndarray:
-    """Backtracked unlearning direction evaluated at the trained optimum."""
-    _check_logistic(theta_tr_model)
+    """Backtracked unlearning direction evaluated at the trained optimum.
+
+    H_r is the sum Hessian over the retain rows.  Per-example losses carry
+    the l2 term, so sum Hessians add over rows and H_r = H_tr - H_f exactly.
+    theta + delta_f is the influence-unlearning step (forget weight -1)."""
     H = _sum_hessian(theta_tr_model, retain.X, retain.y)
     g = _sum_grad(theta_tr_model, forget.X, forget.y)
     return solve_damped(H, g, damping)
@@ -108,7 +106,6 @@ def nontarget_grad_sum(model: Model, forget: LabeledDataset) -> np.ndarray:
 def delta_n(theta_tr_model: Model, retain: LabeledDataset, forget: LabeledDataset,
             damping: float = DEFAULT_DAMPING) -> np.ndarray:
     """Non-target-label smoothing direction (1/(K-1) normalized)."""
-    _check_logistic(theta_tr_model)
     H = _sum_hessian(theta_tr_model, retain.X, retain.y)
     g = nontarget_grad_sum(theta_tr_model, forget)
     return solve_damped(H, g, damping) / (theta_tr_model.K - 1)
@@ -146,7 +143,6 @@ def check_theorem1(theta_tr_model: Model, theta_r_model: Model,
     flags the regime where gradient ascent moves the model further from the
     retrained optimum than doing nothing.
     """
-    _check_logistic(theta_tr_model)
     rep = TheoryReport(damping=damping)
     rep.grad_norm_tr = _stationarity(theta_tr_model, tr)
     rep.grad_norm_r = _stationarity(theta_r_model, retain)

@@ -130,8 +130,7 @@ def streisand(model: Model, forget: LabeledDataset, test: LabeledDataset) -> dic
 
 
 def evaluate(model: Model, forget: LabeledDataset, retain: LabeledDataset,
-             test: LabeledDataset, rte_seconds: float = 0.0, seed: int = 0,
-             with_additional_mia: bool = False) -> MetricsReport:
+             test: LabeledDataset, rte_seconds: float = 0.0, seed: int = 0) -> MetricsReport:
     """Full metric bundle for one unlearned model."""
     return MetricsReport(
         ua=ua(model, forget),
@@ -139,5 +138,5 @@ def evaluate(model: Model, forget: LabeledDataset, retain: LabeledDataset,
         ra=accuracy(model, retain),
         ta=accuracy(model, test),
         rte_seconds=rte_seconds,
-        additional_mia=mia_accuracy_additional(model, forget, test) if with_additional_mia else None,
+        additional_mia=mia_accuracy_additional(model, forget, test),
     )

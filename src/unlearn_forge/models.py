@@ -262,6 +262,7 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
     if model.kind != "logistic":
         raise UnsupportedModelError("newton_optimize requires the logistic model")
     m = model
+    f0 = ce_loss(m, X, soft)
     for it in range(NEWTON_MAX_ITER + 1):
         g = grad(m, X, soft)
         g_norm = np.linalg.norm(g)
@@ -271,11 +272,11 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
             raise SolverError(f"newton_optimize: gradient norm {g_norm:.3e} after {it} iterations")
         step = solve_damped(hessian(m, X, soft), g, NEWTON_DAMPING)
         t = 1.0
-        f0 = ce_loss(m, X, soft)
         while t > 1e-8:
             cand = m.with_theta(m.theta - t * step)
-            if ce_loss(cand, X, soft) <= f0:
-                m = cand
+            f_cand = ce_loss(cand, X, soft)
+            if f_cand <= f0:
+                m, f0 = cand, f_cand
                 break
             t *= 0.5
         else:

@@ -16,34 +16,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import models, smoothing
+from . import influence, models, smoothing
 from .data import ForgetSplit, LabeledDataset
-from .errors import DomainError, UnsupportedModelError
+from .errors import DomainError
 from .models import Model, TrainConfig, onehot
-from .numcore import DEFAULT_DAMPING, rng_stream, solve_damped
+from .numcore import DEFAULT_DAMPING, rng_stream
+from .numcore import solve_damped  # noqa: F401  (bench/selftest.py reads unlearn.solve_damped)
 from .smoothing import SmoothingPolicy
 
 METHODS = ("retrain", "ft", "ga", "rl", "iu", "ugradsl", "ugradsl_plus")
 
 
 @dataclass(frozen=True)
-class UnlearnConfig:
-    method: str = "ugradsl"
+class UnlearnConfig(TrainConfig):
+    """The SGD schedule of a ``TrainConfig`` plus the unlearning knobs."""
     epochs: int = 10
     lr: float = 0.01
+    method: str = "ugradsl"
     p: float = 0.5
-    batch_size: int = 32
-    seed: int = 0
     damping: float = DEFAULT_DAMPING  # IU only
     smoothing: SmoothingPolicy = field(default_factory=SmoothingPolicy)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.method not in METHODS:
             raise DomainError(f"unknown unlearning method {self.method!r}")
         if not (0.0 <= self.p <= 1.0):
             raise DomainError("p must be in [0, 1]")
-        if self.epochs < 0 or self.lr < 0 or self.batch_size < 1 or self.damping < 0:
-            raise DomainError("invalid unlearning configuration")
+        if self.damping < 0:
+            raise DomainError("damping must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -59,17 +60,15 @@ def _timed(fn):
     return UnlearnResult(model, time.perf_counter() - t0, history)
 
 
-def _require_nonempty(split: ForgetSplit, retain=True, forget=True):
-    if retain and split.retain_idx.size == 0:
+def _require_retain(split: ForgetSplit):
+    """For the methods whose retain rows reach no ``sgd_train`` empty-data check."""
+    if split.retain_idx.size == 0:
         raise DomainError("retain set is empty")
-    if forget and split.forget_idx.size == 0:
-        raise DomainError("forget set is empty")
 
 
 def retrain(ds: LabeledDataset, split: ForgetSplit, train_cfg: TrainConfig,
             model_template: Model) -> UnlearnResult:
     """Train from a fresh initialization on the retain rows only."""
-    _require_nonempty(split)
     retain = ds.subset(split.retain_idx)
 
     def run():
@@ -82,15 +81,12 @@ def retrain(ds: LabeledDataset, split: ForgetSplit, train_cfg: TrainConfig,
 
 def finetune(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: UnlearnConfig) -> UnlearnResult:
     """Continue SGD on the retain rows from the trained parameters."""
-    _require_nonempty(split, forget=False)
     retain = ds.subset(split.retain_idx)
-    tc = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed)
-    return _timed(lambda: models.sgd_train(model, retain.X, retain.y, tc))
+    return _timed(lambda: models.sgd_train(model, retain.X, retain.y, cfg))
 
 
 def gradient_ascent(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: UnlearnConfig) -> UnlearnResult:
     """SGD on the negated loss over the forget rows only."""
-    _require_nonempty(split, retain=False)
     forget = ds.subset(split.forget_idx)
     labels = onehot(forget.y, model.K)
     return _timed(lambda: models.minibatch_sgd(
@@ -102,7 +98,7 @@ def gradient_ascent(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: U
 def random_label(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: UnlearnConfig) -> UnlearnResult:
     """Relabel the forget rows with uniformly random wrong labels, then
     descend on retain plus relabeled forget rows."""
-    _require_nonempty(split)
+    _require_retain(split)
     rng = rng_stream(cfg.seed, 3)
     y_new = ds.y.copy()
     # the r-th class other than y, for r uniform in [0, K-1)
@@ -110,30 +106,16 @@ def random_label(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: Unle
     y_new[split.forget_idx] = r + (r >= ds.y[split.forget_idx])
     idx = np.sort(np.concatenate([split.retain_idx, split.forget_idx]))
     X, y = ds.X[idx], y_new[idx]
-    tc = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed)
-    return _timed(lambda: models.sgd_train(model, X, y, tc, rng))
+    return _timed(lambda: models.sgd_train(model, X, y, cfg, rng))
 
 
 def influence_unlearn(model: Model, ds: LabeledDataset, split: ForgetSplit,
                       damping: float = DEFAULT_DAMPING) -> UnlearnResult:
-    """Single closed-form influence update, no iterations.
-
-    theta_u = theta + [H_r + damping I]^{-1} g_f with H_r the sum Hessian
-    over the retain rows and g_f the summed forget gradient (the
-    forget-weight -1 direction).  Per-example losses include the l2 term,
-    so sum Hessians add over rows and H_r = H_tr - H_f exactly.
-    """
-    if model.kind != "logistic":
-        raise UnsupportedModelError("influence unlearning needs the exact logistic Hessian")
-    _require_nonempty(split, retain=False)
-
+    """Single closed-form influence update, no iterations:
+    theta_u = theta + influence.delta_f (logistic only)."""
     def run():
-        Xr, yr = ds.X[split.retain_idx], ds.y[split.retain_idx]
-        Xf, yf = ds.X[split.forget_idx], ds.y[split.forget_idx]
-        # sum-objective Hessian and gradient (mean * n); l2 attributed per example
-        H_r = Xr.shape[0] * models.hessian(model, Xr, onehot(yr, model.K))
-        g_f = Xf.shape[0] * models.grad(model, Xf, onehot(yf, model.K))
-        return model.with_theta(model.theta + solve_damped(H_r, g_f, damping)), []
+        retain, forget = ds.subset(split.retain_idx), ds.subset(split.forget_idx)
+        return model.with_theta(model.theta + influence.delta_f(model, retain, forget, damping)), []
     return _timed(run)
 
 
@@ -144,7 +126,7 @@ def _ugradsl_run(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: Unle
     The driving set is iterated in shuffled batches each epoch; the other set
     is re-sampled with replacement to the same batch size each step.
     """
-    _require_nonempty(split)
+    _require_retain(split)
     retain = ds.subset(split.retain_idx)
     forget = ds.subset(split.forget_idx)
     labels = onehot(forget.y, model.K)

@@ -201,3 +201,22 @@ class TestConfigErrors:
         cfgp = write_cfg(tmp_path, f"data.file = {csv}\ndata.k = 2\n")
         assert cli.main(["train", "--config", cfgp, "--out", str(tmp_path / "m.model")]) == 3
         assert "label 2 >= K=2" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command", ["unlearn", "benchmark"])
+    def test_empty_seed_list_exit_2(self, tmp_path, capsys, command):
+        assert cli.main([command, "--config", write_cfg(tmp_path), "--seeds", ","]) == 2
+        assert "names no seed" in capsys.readouterr().err
+
+    def test_model_shape_checked_against_data(self, tmp_path, capsys):
+        model = tmp_path / "k4.model"
+        cfg4 = write_cfg(tmp_path, "data.k = 4\n")
+        assert cli.main(["train", "--config", cfg4, "--out", str(model)]) == 0
+        capsys.readouterr()
+        code = cli.main(["unlearn", "--config", write_cfg(tmp_path), "--method", "ga",
+                         "--model", str(model)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "(5, 4)" in captured.err and "(5, 3)" in captured.err

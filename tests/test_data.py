@@ -188,3 +188,12 @@ class TestFileRoundTrip:
         data.save_dataset(ds, path)
         back = data.load_dataset(path, K=2)
         assert back.X.tobytes() == X.tobytes()
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejected_at_load_naming_the_line(self, tmp_path, value):
+        path = tmp_path / "nf.csv"
+        path.write_text(f"f0,f1,label\n0.5,1.0,0\n\n0.25,{value},1\n")
+        with pytest.raises(DomainError, match=r"^line 4: non-finite"):
+            data.load_dataset(path)

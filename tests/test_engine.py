@@ -108,6 +108,15 @@ class TestEngineMatchesOracle:
         assert_same(trained.theta, history, oracle_sgd_train(model, ds.X, ds.y, cfg, rng_stream(5, 0)))
 
     @pytest.mark.parametrize("batch_size", [4, 32])
+    def test_finetune(self, setup, batch_size):
+        ds, split, trained = setup
+        cfg = UnlearnConfig(method="ft", epochs=3, lr=0.05, batch_size=batch_size, seed=6)
+        r = unlearn.finetune(trained, ds, split, cfg)
+        retain = ds.subset(split.retain_idx)
+        assert_same(r.model.theta, r.history,
+                    oracle_sgd_train(trained, retain.X, retain.y, cfg, rng_stream(6, 0)))
+
+    @pytest.mark.parametrize("batch_size", [4, 32])
     def test_gradient_ascent(self, setup, batch_size):
         ds, split, trained = setup
         cfg = UnlearnConfig(method="ga", epochs=3, lr=0.05, batch_size=batch_size, seed=3)

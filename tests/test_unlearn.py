@@ -226,3 +226,33 @@ class TestRunMethod:
             UnlearnConfig(p=1.5)
         with pytest.raises(DomainError):
             UnlearnConfig(batch_size=0)
+
+
+class TestEmptyRetain:
+    def test_which_methods_need_retain_rows(self):
+        X = make_blobs(seed=3, K=2, per_class=6, d=3).X
+        ds = data.LabeledDataset(X, np.zeros(len(X), dtype=np.int64), 2)  # one class of two
+        split, _ = data.split_classwise(ds, 0)
+        assert split.retain_idx.size == 0
+        m = models.init_model("logistic", 3, 2)
+        tc = TrainConfig(epochs=2, lr=0.1, seed=0)
+        for method in unlearn.METHODS:
+            c = UnlearnConfig(method=method, epochs=2, seed=0)
+            if method in ("ga", "iu"):
+                res = unlearn.run_method(method, m, ds, split, c, train_cfg=tc)
+                assert np.isfinite(res.model.theta).all(), method
+            else:
+                with pytest.raises(DomainError, match="empty"):
+                    unlearn.run_method(method, m, ds, split, c, train_cfg=tc)
+
+
+class TestUnlearnConfig:
+    def test_is_a_train_config(self):
+        c = UnlearnConfig()
+        assert isinstance(c, TrainConfig)
+        assert (c.epochs, c.lr, c.batch_size, c.seed) == (10, 0.01, 32, 0)
+
+    @pytest.mark.parametrize("field", ["epochs", "lr", "damping"])
+    def test_negative_rejected(self, field):
+        with pytest.raises(DomainError):
+            UnlearnConfig(**{field: -1})
