@@ -39,10 +39,11 @@ print(f"original model: train loss {losses[-1]:.4f}, "
 policy = SmoothingPolicy(mode="adaptive", beta=0.9)
 reports = {}
 for method in unlearn.METHODS:
-    cfg = UnlearnConfig(method=method, epochs=10, lr=0.01, batch_size=32,
+    # retrain reruns the original training schedule
+    epochs, lr = (train_cfg.epochs, train_cfg.lr) if method == "retrain" else (10, 0.01)
+    cfg = UnlearnConfig(method=method, epochs=epochs, lr=lr, batch_size=32,
                         seed=0, smoothing=policy)
-    res = unlearn.run_method(method, original, train, split, cfg,
-                             train_cfg=train_cfg)
+    res = unlearn.run_method(original, train, split, cfg)
     reports[method] = metrics.evaluate(res.model, forget, retain, test_adj,
                                        rte_seconds=res.rte_seconds)
 

@@ -32,10 +32,3 @@ for alpha in np.linspace(-1.1, -0.1, 11):
 params = privacy.LdpParams(K=K, alpha=endpoint, gamma1=gamma1, gamma2=gamma2)
 print(f"\nat the endpoint: epsilon = {privacy.label_ldp_epsilon(params):.2e} "
       f"(predictions carry no label information)")
-
-# the simplex oracle recovers the same optimal distribution numerically
-params = privacy.LdpParams(K=4, alpha=-0.8, gamma1=2.5, gamma2=1.0)
-pt, po = privacy.optimal_prediction_distribution(params)
-numeric = privacy.simplex_oracle(params)
-print(f"\nsimplex oracle check (K=4, alpha=-0.8): closed form "
-      f"({pt:.6f}, {po:.6f}) vs numeric ({numeric[0]:.6f}, {numeric[1]:.6f})")

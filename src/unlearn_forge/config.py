@@ -95,15 +95,3 @@ def parse_seeds(spec: str) -> list[int]:
     if not seeds:
         raise ConfigError(f"seed list {spec!r} names no seed")
     return seeds
-
-
-def format_config(cfg: dict) -> str:
-    """Serialize a config dict back to the file format (sorted keys)."""
-    lines = []
-    for key in sorted(cfg):
-        val = cfg[key]
-        if isinstance(val, float):
-            lines.append(f"{key} = {val!r}")
-        else:
-            lines.append(f"{key} = {val}")
-    return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ optional per-row integer group ids (class ``c`` subgroup ``s`` gets id
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,8 +49,6 @@ class LabeledDataset:
 class ForgetSplit:
     retain_idx: np.ndarray
     forget_idx: np.ndarray
-    paradigm: str
-    detail: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.forget_idx.size == 0:
@@ -63,8 +61,8 @@ class ForgetSplit:
 def gen_blobs(K: int, per_class: int, d: int, spread: float,
               subgroups_per_class: int, rng: np.random.Generator) -> LabeledDataset:
     """Gaussian clusters; each class is split into subgroups with offset means."""
-    if K < 2 or per_class < 2 or subgroups_per_class < 1:
-        raise DomainError("need K >= 2, per_class >= 2, subgroups_per_class >= 1")
+    if K < 2 or per_class < 2 or d < 1 or subgroups_per_class < 1:
+        raise DomainError("need K >= 2, per_class >= 2, d >= 1, subgroups_per_class >= 1")
     if spread < 0:
         raise DomainError("spread must be nonnegative")
     X_parts, y_parts, g_parts = [], [], []
@@ -101,10 +99,8 @@ def split_classwise(ds: LabeledDataset, cls: int,
     forget = np.flatnonzero(ds.y == cls)
     if forget.size == 0:
         raise DomainError(f"class {cls} absent from the dataset")
-    retain = np.flatnonzero(ds.y != cls)
-    split = ForgetSplit(retain, forget, "classwise", {"class": cls, "empty_retain": retain.size == 0})
     adjusted = test.subset(np.flatnonzero(test.y != cls)) if test is not None else None
-    return split, adjusted
+    return ForgetSplit(np.flatnonzero(ds.y != cls), forget), adjusted
 
 
 def split_random(ds: LabeledDataset, fraction: float, rng: np.random.Generator) -> ForgetSplit:
@@ -121,7 +117,7 @@ def split_random(ds: LabeledDataset, fraction: float, rng: np.random.Generator) 
     forget = np.sort(np.concatenate(forget_parts))
     mask = np.ones(ds.n, dtype=bool)
     mask[forget] = False
-    return ForgetSplit(np.flatnonzero(mask), forget, "random", {"fraction": fraction})
+    return ForgetSplit(np.flatnonzero(mask), forget)
 
 
 def split_group(ds: LabeledDataset, group_ids) -> ForgetSplit:
@@ -136,7 +132,7 @@ def split_group(ds: LabeledDataset, group_ids) -> ForgetSplit:
     if unknown:
         raise DomainError(f"unknown group ids {unknown}")
     mask = np.isin(ds.groups, ids)
-    return ForgetSplit(np.flatnonzero(~mask), np.flatnonzero(mask), "group", {"groups": ids})
+    return ForgetSplit(np.flatnonzero(~mask), np.flatnonzero(mask))
 
 
 def save_dataset(ds: LabeledDataset, path) -> None:

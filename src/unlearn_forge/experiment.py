@@ -55,15 +55,12 @@ def build_split(cfg: dict, ds: data.LabeledDataset,
     raise ConfigError(f"unknown paradigm {paradigm!r}")
 
 
-def train_config(cfg: dict, seed: int) -> models.TrainConfig:
-    return models.TrainConfig(epochs=cfg["train.epochs"], batch_size=cfg["train.batch_size"],
-                              lr=cfg["train.lr"], seed=seed)
-
-
 def train_original(cfg: dict, ds: data.LabeledDataset) -> models.Model:
     model = models.init_model(cfg["model.kind"], ds.d, ds.K, cfg["model.l2"],
                               cfg["model.hidden"], rng_stream(cfg["train.seed"], 13))
-    trained, _ = models.sgd_train(model, ds.X, ds.y, train_config(cfg, cfg["train.seed"]))
+    tc = models.TrainConfig(epochs=cfg["train.epochs"], batch_size=cfg["train.batch_size"],
+                            lr=cfg["train.lr"], seed=cfg["train.seed"])
+    trained, _ = models.sgd_train(model, ds.X, ds.y, tc)
     return trained
 
 
@@ -85,11 +82,13 @@ def run_cell(cfg: dict, method: str, seed: int, ds: data.LabeledDataset,
     evaluate the result on the forget, retain and test sets."""
     policy = SmoothingPolicy(mode=cfg["smooth.mode"], alpha=cfg["smooth.alpha"],
                              beta=cfg["smooth.beta"])
-    ucfg = unlearn.UnlearnConfig(method=method, epochs=cfg["unlearn.epochs"],
-                                 lr=cfg["unlearn.lr"], p=cfg["unlearn.p"],
-                                 batch_size=cfg["unlearn.batch_size"], seed=seed,
+    # retrain reruns the original training schedule; the others run the unlearning one
+    sched = "train" if method == "retrain" else "unlearn"
+    ucfg = unlearn.UnlearnConfig(method=method, epochs=cfg[f"{sched}.epochs"],
+                                 lr=cfg[f"{sched}.lr"], p=cfg["unlearn.p"],
+                                 batch_size=cfg[f"{sched}.batch_size"], seed=seed,
                                  damping=cfg["unlearn.damping"], smoothing=policy)
-    result = unlearn.run_method(method, model, ds, split, ucfg, train_cfg=train_config(cfg, seed))
+    result = unlearn.run_method(model, ds, split, ucfg)
     report = metrics.evaluate(result.model, ds.subset(split.forget_idx),
                               ds.subset(split.retain_idx), test,
                               rte_seconds=result.rte_seconds, seed=seed)

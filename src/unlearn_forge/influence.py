@@ -54,7 +54,6 @@ class TheoryReport:
     best_alpha: float | None = None
     dist_gls_at_best_alpha: float | None = None
     closed_form_alpha: float | None = None
-    damping: float = DEFAULT_DAMPING
     grad_norm_tr: float = 0.0
     grad_norm_r: float = 0.0
     warnings: list[str] = field(default_factory=list)
@@ -143,7 +142,7 @@ def check_theorem1(theta_tr_model: Model, theta_r_model: Model,
     flags the regime where gradient ascent moves the model further from the
     retrained optimum than doing nothing.
     """
-    rep = TheoryReport(damping=damping)
+    rep = TheoryReport()
     rep.grad_norm_tr = _stationarity(theta_tr_model, tr)
     rep.grad_norm_r = _stationarity(theta_r_model, retain)
     if rep.grad_norm_tr > STATIONARITY_WARN:
@@ -190,20 +189,3 @@ def check_theorem2(theta_tr_model: Model, theta_r_model: Model,
         rep.best_alpha = float(alpha_grid[i])
         rep.dist_gls_at_best_alpha = float(dists[i])
     return rep
-
-
-def inner_product_survey(instances, damping: float = DEFAULT_DAMPING) -> dict:
-    """Inner products over (theta_tr, theta_r, datasets) instances and the
-    fraction that satisfy the smoothing-helps condition."""
-    inners = []
-    for theta_tr_model, theta_r_model, tr, retain, forget in instances:
-        rep = check_theorem2(theta_tr_model, theta_r_model, tr, retain, forget,
-                             np.array([-1.0]), damping)
-        inners.append(rep.inner)
-    if not inners:
-        raise DomainError("need at least one instance")
-    inners = np.array(inners)
-    return {
-        "inner_products": inners,
-        "fraction_nonpositive": float(np.mean(inners <= 0.0)),
-    }

@@ -71,6 +71,8 @@ class TrainConfig:
 def n_params(kind: str, d: int, K: int, hidden: int = 0) -> int:
     if kind == "logistic":
         return K * d + K
+    if kind == "mlp" and hidden < 1:
+        raise DomainError(f"an mlp needs hidden >= 1, got {hidden}")
     return hidden * d + hidden + K * hidden + K
 
 

@@ -1,13 +1,11 @@
-"""Dense 64-bit numerics: damped solves, stable softmax, seeded RNG streams,
-and a central-finite-difference gradient oracle.
+"""Dense 64-bit numerics: damped solves, stable softmax and seeded RNG
+streams.
 
 All arrays are plain numpy float64; matrices are row-major 2-D arrays and
 vectors are 1-D arrays.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -56,22 +54,3 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient (f(x+h*e_i) - f(x-h*e_i)) / (2h)."""
-    if h <= 0:
-        raise DomainError("step h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fp = f(xp)
-        fm = f(xm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise DomainError(f"non-finite function value near coordinate {i}")
-        g[i] = (fp - fm) / (2.0 * h)
-    return g

@@ -73,35 +73,6 @@ def optimal_prediction_distribution(params: LdpParams) -> tuple[float, float]:
     return float(p_target), float(p_other)
 
 
-def simplex_oracle(params: LdpParams, iters: int = 10_000, step: float = 1e-2) -> np.ndarray:
-    """Projected gradient descent on the weighted risk over the simplex.
-
-    Independent numerical check of the closed-form distribution; the
-    objective is strictly convex on the interior for valid params.
-    """
-    K, a, g2 = params.K, params.alpha, params.gamma2
-    A = params.A
-    w = np.full(K, -a * g2 / K)
-    w[0] = A  # target label at index 0
-
-    p = np.full(K, 1.0 / K)
-    for _ in range(iters):
-        g = -w / p
-        p = _project_simplex(p - step * g)
-        p = np.maximum(p, 1e-12)
-        p /= p.sum()
-    return p
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.max(np.nonzero(u * np.arange(1, v.size + 1) > (css - 1.0))[0])
-    tau = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
-
-
 def verify_ratio_bound(params: LdpParams) -> LdpReport:
     """Brute-force check of the privacy definition.
 

@@ -33,17 +33,6 @@ class SmoothingPolicy:
             raise DomainError("beta must be in [0, 1]")
 
 
-def gls_label(y: int, K: int, alpha: float) -> np.ndarray:
-    """Smoothed label row: alpha/K everywhere, 1 + (1-K)*alpha/K at y."""
-    if not (0 <= y < K):
-        raise DomainError("label outside [0, K)")
-    if alpha > 1:
-        raise DomainError("smooth rate must be <= 1")
-    row = np.full(K, alpha / K)
-    row[y] = 1.0 + (1.0 - K) * alpha / K
-    return row
-
-
 def gls_labels(y: np.ndarray, K: int, alphas: np.ndarray) -> np.ndarray:
     """Row-wise smoothed labels for per-example rates."""
     y = np.asarray(y, dtype=np.int64)
@@ -51,25 +40,6 @@ def gls_labels(y: np.ndarray, K: int, alphas: np.ndarray) -> np.ndarray:
     if np.any(alphas > 1):
         raise DomainError("smooth rate must be <= 1")
     return (1.0 - alphas)[:, None] * onehot(y, K) + (alphas / K)[:, None]
-
-
-def gls_loss(model: Model, x: np.ndarray, y: int, alpha: float) -> float:
-    """Weighted-per-label form of the smoothed loss for one example.
-
-    Equals ce_loss against gls_label(y, K, alpha); the target term carries
-    weight 1 + (1-K)*alpha/K and each other label alpha/K.  Kept as a
-    separate code path so the decomposition identity is checkable.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] != 1:
-        raise DimensionError("gls_loss takes a single example")
-    K = model.K
-    l2_term = 0.5 * model.l2 * float(np.dot(model.theta, model.theta))
-    p = models.forward(model, x)[0]
-    logp = np.log(np.maximum(p, 1e-300))
-    target = -logp[y]
-    others = sum(-logp[yp] for yp in range(K) if yp != y)
-    return float((1.0 + (1.0 - K) / K * alpha) * target + (alpha / K) * others + l2_term)
 
 
 def pairwise_distance(Xr: np.ndarray, Xf: np.ndarray) -> np.ndarray:
@@ -112,22 +82,10 @@ def batch_alphas(policy: SmoothingPolicy, Xr: np.ndarray, Xf: np.ndarray) -> np.
     return -adaptive_rates(Xr, Xf, policy.beta)
 
 
-def mixed_loss(model: Model, Xr: np.ndarray, yr: np.ndarray,
-               Xf: np.ndarray, soft_f: np.ndarray, p: float) -> float:
-    """p * mean retain loss - (1-p) * mean smoothed forget loss.
-
-    The minus sign realizes gradient ascent on the forget term.
-    """
-    if not (0.0 <= p <= 1.0):
-        raise DomainError("p must be in [0, 1]")
-    lr_ = models.ce_loss(model, Xr, onehot(yr, model.K))
-    lf_ = models.ce_loss(model, Xf, soft_f)
-    return p * lr_ - (1.0 - p) * lf_
-
-
 def mixed_grad(model: Model, Xr: np.ndarray, yr: np.ndarray,
                Xf: np.ndarray, soft_f: np.ndarray, p: float) -> np.ndarray:
-    """Analytic gradient of mixed_loss w.r.t. theta."""
+    """Analytic gradient of p * mean retain loss - (1-p) * mean smoothed forget
+    loss w.r.t. theta; the minus sign is gradient ascent on the forget term."""
     if not (0.0 <= p <= 1.0):
         raise DomainError("p must be in [0, 1]")
     gr = models.grad(model, Xr, onehot(yr, model.K))

@@ -1,9 +1,10 @@
 """The unlearning method family behind one interface.
 
 Methods: retrain, finetune (FT), gradient_ascent (GA), random_label (RL),
-influence_unlearn (IU), ugradsl, ugradsl_plus.  Each returns an
-UnlearnResult with the unlearned model, wall-clock seconds of the unlearning
-call only, and per-epoch loss history.
+influence_unlearn (IU), ugradsl, ugradsl_plus.  Each is called as
+``fn(model, ds, split, cfg)`` and returns an UnlearnResult with the unlearned
+model, wall-clock seconds of the unlearning call only, and per-epoch loss
+history.  ``run_method`` picks the function named by ``cfg.method``.
 
 Every iterative method runs on the one minibatch loop ``models.minibatch_sgd``,
 FT and RL through ``models.sgd_train``, the others with their own batch gradients.
@@ -23,8 +24,6 @@ from .models import Model, TrainConfig, onehot
 from .numcore import DEFAULT_DAMPING, rng_stream
 from .numcore import solve_damped  # noqa: F401  (bench/selftest.py reads unlearn.solve_damped)
 from .smoothing import SmoothingPolicy
-
-METHODS = ("retrain", "ft", "ga", "rl", "iu", "ugradsl", "ugradsl_plus")
 
 
 @dataclass(frozen=True)
@@ -66,16 +65,14 @@ def _require_retain(split: ForgetSplit):
         raise DomainError("retain set is empty")
 
 
-def retrain(ds: LabeledDataset, split: ForgetSplit, train_cfg: TrainConfig,
-            model_template: Model) -> UnlearnResult:
-    """Train from a fresh initialization on the retain rows only."""
+def retrain(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: TrainConfig) -> UnlearnResult:
+    """Train a fresh model of ``model``'s shape on the retain rows only."""
     retain = ds.subset(split.retain_idx)
 
     def run():
-        fresh = models.init_model(model_template.kind, model_template.d, model_template.K,
-                                  model_template.l2, model_template.hidden,
-                                  rng_stream(train_cfg.seed, 1))
-        return models.sgd_train(fresh, retain.X, retain.y, train_cfg)
+        fresh = models.init_model(model.kind, model.d, model.K, model.l2, model.hidden,
+                                  rng_stream(cfg.seed, 1))
+        return models.sgd_train(fresh, retain.X, retain.y, cfg)
     return _timed(run)
 
 
@@ -109,13 +106,12 @@ def random_label(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: Unle
     return _timed(lambda: models.sgd_train(model, X, y, cfg, rng))
 
 
-def influence_unlearn(model: Model, ds: LabeledDataset, split: ForgetSplit,
-                      damping: float = DEFAULT_DAMPING) -> UnlearnResult:
+def influence_unlearn(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: UnlearnConfig) -> UnlearnResult:
     """Single closed-form influence update, no iterations:
-    theta_u = theta + influence.delta_f (logistic only)."""
+    theta_u = theta + influence.delta_f with ``cfg.damping`` (logistic only)."""
     def run():
         retain, forget = ds.subset(split.retain_idx), ds.subset(split.forget_idx)
-        return model.with_theta(model.theta + influence.delta_f(model, retain, forget, damping)), []
+        return model.with_theta(model.theta + influence.delta_f(model, retain, forget, cfg.damping)), []
     return _timed(run)
 
 
@@ -155,23 +151,11 @@ def ugradsl_plus(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: Unle
     return _ugradsl_run(model, ds, split, cfg, retain_driven=True)
 
 
-def run_method(method: str, model: Model, ds: LabeledDataset, split: ForgetSplit,
-               cfg: UnlearnConfig, train_cfg: TrainConfig | None = None) -> UnlearnResult:
-    """Dispatch a method name to its implementation."""
-    if method == "retrain":
-        if train_cfg is None:
-            raise DomainError("retrain needs the original training configuration")
-        return retrain(ds, split, train_cfg, model)
-    if method == "ft":
-        return finetune(model, ds, split, cfg)
-    if method == "ga":
-        return gradient_ascent(model, ds, split, cfg)
-    if method == "rl":
-        return random_label(model, ds, split, cfg)
-    if method == "iu":
-        return influence_unlearn(model, ds, split, cfg.damping)
-    if method == "ugradsl":
-        return ugradsl(model, ds, split, cfg)
-    if method == "ugradsl_plus":
-        return ugradsl_plus(model, ds, split, cfg)
-    raise DomainError(f"unknown unlearning method {method!r}")
+_RUNNERS = {"retrain": retrain, "ft": finetune, "ga": gradient_ascent, "rl": random_label,
+            "iu": influence_unlearn, "ugradsl": ugradsl, "ugradsl_plus": ugradsl_plus}
+METHODS = tuple(_RUNNERS)
+
+
+def run_method(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: UnlearnConfig) -> UnlearnResult:
+    """Run the method named by ``cfg.method``."""
+    return _RUNNERS[cfg.method](model, ds, split, cfg)

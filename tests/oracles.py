@@ -1,0 +1,109 @@
+"""Naive reference implementations the tests check the shipped code against.
+
+Each one takes a slow, independent route to a quantity the package computes
+in closed form or analytically: central finite differences for gradients,
+projected gradient descent for the label-LDP prediction distribution, and the
+per-label and unmixed forms of the smoothed and gradient-mixed losses.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from unlearn_forge import models
+from unlearn_forge.errors import DimensionError, DomainError
+from unlearn_forge.models import Model, onehot
+from unlearn_forge.privacy import LdpParams
+
+
+def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient (f(x+h*e_i) - f(x-h*e_i)) / (2h)."""
+    if h <= 0:
+        raise DomainError("step h must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    g = np.empty_like(x)
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        fp = f(xp)
+        fm = f(xm)
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise DomainError(f"non-finite function value near coordinate {i}")
+        g[i] = (fp - fm) / (2.0 * h)
+    return g
+
+
+def simplex_oracle(params: LdpParams, iters: int = 10_000, step: float = 1e-2) -> np.ndarray:
+    """Projected gradient descent on the weighted risk over the simplex.
+
+    Independent numerical check of the closed-form distribution; the
+    objective is strictly convex on the interior for valid params.
+    """
+    K, a, g2 = params.K, params.alpha, params.gamma2
+    A = params.A
+    w = np.full(K, -a * g2 / K)
+    w[0] = A  # target label at index 0
+
+    p = np.full(K, 1.0 / K)
+    for _ in range(iters):
+        g = -w / p
+        p = _project_simplex(p - step * g)
+        p = np.maximum(p, 1e-12)
+        p /= p.sum()
+    return p
+
+
+def _project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the probability simplex."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    rho = np.max(np.nonzero(u * np.arange(1, v.size + 1) > (css - 1.0))[0])
+    tau = (css[rho] - 1.0) / (rho + 1.0)
+    return np.maximum(v - tau, 0.0)
+
+
+def gls_label(y: int, K: int, alpha: float) -> np.ndarray:
+    """Smoothed label row: alpha/K everywhere, 1 + (1-K)*alpha/K at y."""
+    if not (0 <= y < K):
+        raise DomainError("label outside [0, K)")
+    if alpha > 1:
+        raise DomainError("smooth rate must be <= 1")
+    row = np.full(K, alpha / K)
+    row[y] = 1.0 + (1.0 - K) * alpha / K
+    return row
+
+
+def gls_loss(model: Model, x: np.ndarray, y: int, alpha: float) -> float:
+    """Weighted-per-label form of the smoothed loss for one example.
+
+    Equals ce_loss against gls_label(y, K, alpha); the target term carries
+    weight 1 + (1-K)*alpha/K and each other label alpha/K.  Kept as a
+    separate code path so the decomposition identity is checkable.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[0] != 1:
+        raise DimensionError("gls_loss takes a single example")
+    K = model.K
+    l2_term = 0.5 * model.l2 * float(np.dot(model.theta, model.theta))
+    p = models.forward(model, x)[0]
+    logp = np.log(np.maximum(p, 1e-300))
+    target = -logp[y]
+    others = sum(-logp[yp] for yp in range(K) if yp != y)
+    return float((1.0 + (1.0 - K) / K * alpha) * target + (alpha / K) * others + l2_term)
+
+
+def mixed_loss(model: Model, Xr: np.ndarray, yr: np.ndarray,
+               Xf: np.ndarray, soft_f: np.ndarray, p: float) -> float:
+    """p * mean retain loss - (1-p) * mean smoothed forget loss.
+
+    The minus sign realizes gradient ascent on the forget term.
+    """
+    if not (0.0 <= p <= 1.0):
+        raise DomainError("p must be in [0, 1]")
+    lr_ = models.ce_loss(model, Xr, onehot(yr, model.K))
+    lf_ = models.ce_loss(model, Xf, soft_f)
+    return p * lr_ - (1.0 - p) * lf_

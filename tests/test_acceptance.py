@@ -10,9 +10,10 @@ import time
 import numpy as np
 import pytest
 
+from oracles import finite_diff_grad, gls_label, gls_loss, mixed_loss, simplex_oracle
 from unlearn_forge import cli, data, influence, metrics, models, privacy, smoothing, unlearn
 from unlearn_forge.models import TrainConfig, onehot
-from unlearn_forge.numcore import finite_diff_grad, rng_stream
+from unlearn_forge.numcore import rng_stream
 from unlearn_forge.smoothing import SmoothingPolicy
 from unlearn_forge.unlearn import UnlearnConfig
 
@@ -48,7 +49,7 @@ def test_criterion_01_gradient_fidelity(capsys):
             soft = smoothing.gls_labels(rng.integers(3, size=4), 3, np.full(4, alpha))
             g = smoothing.mixed_grad(m, Xr, yr, Xf, soft, p)
             fd = finite_diff_grad(
-                lambda t: smoothing.mixed_loss(m.with_theta(t), Xr, yr, Xf, soft, p), m.theta)
+                lambda t: mixed_loss(m.with_theta(t), Xr, yr, Xf, soft, p), m.theta)
             assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12) <= 1e-5
 
 
@@ -63,8 +64,8 @@ def test_criterion_02_gls_decomposition(capsys):
             x = rng.standard_normal(d)
             y = int(rng.integers(K))
             alpha = float(rng.uniform(-2.0, 1.0))
-            direct = models.ce_loss(m, x[None], smoothing.gls_label(y, K, alpha)[None])
-            assert abs(smoothing.gls_loss(m, x, y, alpha) - direct) <= 1e-10
+            direct = models.ce_loss(m, x[None], gls_label(y, K, alpha)[None])
+            assert abs(gls_loss(m, x, y, alpha) - direct) <= 1e-10
 
 
 def test_criterion_03_influence_loo_oracle(capsys):
@@ -160,7 +161,7 @@ def test_criterion_06_theorem3_ldp(capsys):
         for K, a, g1, g2 in [(4, -0.8, 2.5, 1.0), (3, -1.5, 4.0, 1.0), (6, -0.3, 2.0, 1.5)]:
             params = privacy.LdpParams(K=K, alpha=a, gamma1=g1, gamma2=g2)
             pt, po = privacy.optimal_prediction_distribution(params)
-            numeric = privacy.simplex_oracle(params)
+            numeric = simplex_oracle(params)
             assert abs(numeric[0] - pt) <= 1e-6
             assert np.all(np.abs(numeric[1:] - po) <= 1e-6)
 
@@ -175,7 +176,7 @@ def classwise_run():
     model = models.init_model("logistic", d, K)
     tc = TrainConfig(epochs=60, batch_size=32, lr=0.1, seed=0)
     trained, _ = models.sgd_train(model, ds.X, ds.y, tc)
-    retrained = unlearn.retrain(ds, split, tc, trained)
+    retrained = unlearn.retrain(trained, ds, split, tc)
     return ds, test, adjusted_test, split, trained, retrained
 
 
@@ -224,7 +225,7 @@ def test_criterion_09_additional_mia_sanity(capsys, classwise_run):
         base, _ = models.sgd_train(models.init_model("logistic", 5, 3),
                                    pool_train.X, pool_train.y, tc)
         rsplit = data.split_random(pool_train, 0.5, rng_stream(0, 12))
-        r = unlearn.retrain(pool_train, rsplit, tc, base)
+        r = unlearn.retrain(base, pool_train, rsplit, tc)
         rand = metrics.mia_accuracy_additional(r.model, pool_train.subset(rsplit.forget_idx),
                                                pool_test)
         assert 40.0 <= rand <= 60.0

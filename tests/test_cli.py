@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unlearn_forge import cli, data, models
-from unlearn_forge.config import default_config, format_config, parse_config, parse_seeds
+from unlearn_forge.config import default_config, parse_config, parse_seeds
 from unlearn_forge.errors import ConfigError
 from unlearn_forge.modelio import load_model, save_model
 
@@ -54,7 +54,7 @@ class TestConfig:
         cfg = default_config()
         cfg["data.spread"] = 1.25
         p = tmp_path / "echo.cfg"
-        p.write_text(format_config(cfg))
+        p.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
         assert parse_config(p) == cfg
 
 
@@ -136,8 +136,10 @@ class TestSubcommands:
         table = capsys.readouterr().out
         assert "retrain" in table and "RTE" in table
 
-    def test_benchmark_jobs_matches_serial(self, tmp_path):
-        cfgp = write_cfg(tmp_path)
+    @pytest.mark.parametrize("split", ["classwise", "random", "group\nsplit.groups = 0,3"],
+                             ids=["classwise", "random", "group"])
+    def test_benchmark_jobs_matches_serial(self, tmp_path, split):
+        cfgp = write_cfg(tmp_path, f"split.paradigm = {split}\n")
         r1 = tmp_path / "serial.json"
         r2 = tmp_path / "parallel.json"
         assert cli.main(["benchmark", "--config", cfgp, "--format", "machine", "--out", str(r1)]) == 0
@@ -208,6 +210,16 @@ class TestInputErrors:
     def test_empty_seed_list_exit_2(self, tmp_path, capsys, command):
         assert cli.main([command, "--config", write_cfg(tmp_path), "--seeds", ","]) == 2
         assert "names no seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        ("data.dim = 0", "d >= 1"), ("data.dim = -1", "d >= 1"),
+        ("model.kind = mlp\nmodel.hidden = 0", "hidden >= 1"),
+        ("model.kind = mlp\nmodel.hidden = -1", "hidden >= 1")],
+        ids=["dim-0", "dim-negative", "hidden-0", "hidden-negative"])
+    def test_nonpositive_size_exit_3(self, tmp_path, capsys, extra, message):
+        assert cli.main(["unlearn", "--config", write_cfg(tmp_path, extra + "\n"),
+                         "--method", "ga"]) == 3
+        assert message in capsys.readouterr().err
 
     def test_model_shape_checked_against_data(self, tmp_path, capsys):
         model = tmp_path / "k4.model"

@@ -127,11 +127,11 @@ class TestSplitGroup:
 class TestForgetSplitInvariants:
     def test_overlap_rejected(self):
         with pytest.raises(DomainError):
-            data.ForgetSplit(np.array([0, 1]), np.array([1, 2]), "random")
+            data.ForgetSplit(np.array([0, 1]), np.array([1, 2]))
 
     def test_empty_forget_rejected(self):
         with pytest.raises(DomainError):
-            data.ForgetSplit(np.array([0, 1]), np.array([], dtype=int), "random")
+            data.ForgetSplit(np.array([0, 1]), np.array([], dtype=int))
 
     @pytest.mark.parametrize("retain, forget", [
         (np.arange(4), np.array([-1])),  # would name row n-1, which retain holds
@@ -140,7 +140,7 @@ class TestForgetSplitInvariants:
     ], ids=["negative", "duplicate-retain", "duplicate-forget"])
     def test_negative_or_repeated_index_rejected(self, retain, forget):
         with pytest.raises(DomainError):
-            data.ForgetSplit(retain, forget, "random")
+            data.ForgetSplit(retain, forget)
 
 
 class TestFileRoundTrip:

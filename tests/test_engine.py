@@ -142,7 +142,7 @@ class TestEngineMatchesOracle:
         ds, split, trained = setup
         cfg = UnlearnConfig(method=method, epochs=3, lr=0.05, p=0.3, batch_size=6, seed=2,
                             smoothing=policy)
-        r = unlearn.run_method(method, trained, ds, split, cfg)
+        r = unlearn.run_method(trained, ds, split, cfg)
         oracle = oracle_ugradsl(trained, ds.subset(split.retain_idx), ds.subset(split.forget_idx),
                                 cfg, retain_driven=method == "ugradsl_plus")
         assert_same(r.model.theta, r.history, oracle)
@@ -155,7 +155,7 @@ class TestDivergence:
         ds, split, trained = setup
         cfg = UnlearnConfig(method=method, epochs=3, lr=1e306)
         with pytest.raises(DomainError, match=rf"^{method} diverged in epoch 1\b"):
-            unlearn.run_method(method, trained, ds, split, cfg)
+            unlearn.run_method(trained, ds, split, cfg)
 
     def test_cli_exit_code_3(self, tmp_path, capsys):
         p = tmp_path / "diverge.cfg"

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
-from unlearn_forge import cli, data, experiment
+from unlearn_forge import cli, data, experiment, unlearn
 from unlearn_forge.config import default_config
 from unlearn_forge.errors import ConfigError, DomainError
+from unlearn_forge.models import TrainConfig
 
 
 def csv_without_top_class(tmp_path):
@@ -55,3 +56,19 @@ def test_unlearn_fragment_is_the_benchmark_cell(tmp_path, capsys):
     for cell in cells:
         assert cli.main(["unlearn", "--config", str(p), "--method", cell["method"]]) == 0
         assert json.loads(capsys.readouterr().out) == cell
+
+
+def test_retrain_cell_reruns_the_training_schedule():
+    cfg = {**default_config(), "data.per_class": 20, "data.test_per_class": 20,
+           "train.epochs": 7, "train.lr": 0.2}
+    ds, test = experiment.build_datasets(cfg)
+    split, eval_test = experiment.build_split(cfg, ds, test)
+    model = experiment.train_original(cfg, ds)
+    cell, _ = experiment.run_cell(cfg, "retrain", 2, ds, eval_test, split, model)
+    direct = unlearn.retrain(model, ds, split, TrainConfig(epochs=7, lr=0.2,
+                                                           batch_size=cfg["train.batch_size"], seed=2))
+    assert cell.model.theta.tobytes() == direct.model.theta.tobytes()
+    assert cell.history == direct.history
+    again, _ = experiment.run_cell({**cfg, "unlearn.epochs": 3, "unlearn.lr": 0.5}, "retrain", 2,
+                                   ds, eval_test, split, model)
+    assert again.model.theta.tobytes() == cell.model.theta.tobytes()

@@ -162,10 +162,3 @@ class TestTheoremChecks:
             influence.check_theorem2(theta_tr, theta_r, ds, retain, forget, np.array([]))
         with pytest.raises(DomainError):
             influence.check_theorem2(theta_tr, theta_r, ds, retain, forget, np.array([-1.0, 0.5]))
-
-    def test_survey(self):
-        instances = [newton_instance(seed=s)[:5] for s in (0, 1)]
-        packed = [(t, r, ds, re, fo) for t, r, ds, re, fo in instances]
-        out = influence.inner_product_survey(packed)
-        assert out["inner_products"].shape == (2,)
-        assert 0.0 <= out["fraction_nonpositive"] <= 1.0

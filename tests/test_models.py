@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs, random_model
+from oracles import finite_diff_grad
 from unlearn_forge import cli, models
 from unlearn_forge.errors import DimensionError, DomainError, SolverError, UnsupportedModelError
+from unlearn_forge.modelio import load_model
 from unlearn_forge.models import Model, TrainConfig, ce_loss, forward, grad, hessian, onehot
-from unlearn_forge.numcore import finite_diff_grad, rng_stream
+from unlearn_forge.numcore import rng_stream
 
 
 def rel_err(a, b):
@@ -236,3 +238,15 @@ class TestModelValidation:
     def test_train_config_validation(self):
         with pytest.raises(DomainError):
             TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("hidden", [0, -1])
+    def test_mlp_needs_a_hidden_unit(self, tmp_path, hidden):
+        with pytest.raises(DomainError, match="hidden >= 1"):
+            models.init_model("mlp", 3, 2, hidden=hidden)
+        with pytest.raises(DomainError, match="hidden >= 1"):
+            Model(kind="mlp", theta=np.zeros(2), d=3, K=2, hidden=hidden)
+        p = tmp_path / "h.model"
+        p.write_text(f"unlearn-forge-model v1\nkind mlp\nd 3\nK 2\nhidden {hidden}\nl2 0.01\n"
+                     "theta 2\n0\n0\n")
+        with pytest.raises(DomainError, match="hidden >= 1"):
+            load_model(p)

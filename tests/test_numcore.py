@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import finite_diff_grad
 from unlearn_forge.errors import DimensionError, DomainError, SolverError
-from unlearn_forge.numcore import finite_diff_grad, rng_stream, softmax_rows, solve_damped
+from unlearn_forge.numcore import rng_stream, softmax_rows, solve_damped
 
 
 class TestSolveDamped:

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import simplex_oracle
 from unlearn_forge import privacy
 from unlearn_forge.errors import DomainError
 from unlearn_forge.privacy import (LdpParams, label_ldp_epsilon, optimal_prediction_distribution,
-                                   simplex_oracle, verify_ratio_bound)
+                                   verify_ratio_bound)
 
 
 def valid_params(K, alpha, gamma1, gamma2):

@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_model
+from oracles import finite_diff_grad, gls_label, gls_loss, mixed_loss
 from unlearn_forge import models, smoothing
 from unlearn_forge.errors import DimensionError, DomainError
 from unlearn_forge.models import ce_loss, onehot
-from unlearn_forge.numcore import finite_diff_grad
-from unlearn_forge.smoothing import (SmoothingPolicy, adaptive_rates, batch_alphas, gls_label,
-                                     gls_labels, gls_loss, mixed_grad, mixed_loss,
-                                     pairwise_distance)
+from unlearn_forge.smoothing import (SmoothingPolicy, adaptive_rates, batch_alphas, gls_labels,
+                                     mixed_grad, pairwise_distance)
 
 
 class TestGlsLabel:

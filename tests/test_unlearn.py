@@ -27,20 +27,20 @@ class TestRetrain:
     def test_same_seed_identical(self, setup):
         ds, split, trained = setup
         tc = TrainConfig(epochs=10, lr=0.1, seed=3)
-        a = unlearn.retrain(ds, split, tc, trained)
-        b = unlearn.retrain(ds, split, tc, trained)
+        a = unlearn.retrain(trained, ds, split, tc)
+        b = unlearn.retrain(trained, ds, split, tc)
         assert a.model.theta.tobytes() == b.model.theta.tobytes()
 
     def test_classwise_forget_never_predicted(self, setup):
         ds, split, trained = setup
         tc = TrainConfig(epochs=40, lr=0.1, seed=0)
-        res = unlearn.retrain(ds, split, tc, trained)
+        res = unlearn.retrain(trained, ds, split, tc)
         forget = ds.subset(split.forget_idx)
         assert np.all(models.predict(res.model, forget.X) != forget.y)
 
     def test_rte_positive(self, setup):
         ds, split, trained = setup
-        res = unlearn.retrain(ds, split, TrainConfig(epochs=2, lr=0.1, seed=0), trained)
+        res = unlearn.retrain(trained, ds, split, TrainConfig(epochs=2, lr=0.1, seed=0))
         assert res.rte_seconds > 0
 
 
@@ -116,14 +116,14 @@ class TestInfluenceUnlearn:
         ds, split, _ = setup
         m = models.init_model("mlp", 5, 3, hidden=4)
         with pytest.raises(UnsupportedModelError):
-            unlearn.influence_unlearn(m, ds, split)
+            unlearn.influence_unlearn(m, ds, split, cfg(method="iu"))
 
     def test_single_point_matches_loo_direction(self):
         ds = make_blobs(seed=6, K=2, per_class=25, d=3)
         template = models.init_model("logistic", 3, 2, l2=0.1)
         theta_tr = models.newton_optimize(template, ds.X, onehot(ds.y, 2))
-        split = data.ForgetSplit(np.arange(1, ds.n), np.array([0]), "random")
-        res = unlearn.influence_unlearn(theta_tr, ds, split, damping=1e-6)
+        split = data.ForgetSplit(np.arange(1, ds.n), np.array([0]))
+        res = unlearn.influence_unlearn(theta_tr, ds, split, cfg(method="iu", damping=1e-6))
         retain = ds.subset(split.retain_idx)
         theta_loo = models.newton_optimize(template, retain.X, onehot(retain.y, 2))
         d_iu = res.model.theta - theta_tr.theta
@@ -136,14 +136,14 @@ class TestInfluenceUnlearn:
         ds, split, trained = setup
         if paradigm == "random":
             split = data.split_random(ds, 0.3, rng_stream(2, 12))
-        res = unlearn.influence_unlearn(trained, ds, split, damping=1e-3)
+        res = unlearn.influence_unlearn(trained, ds, split, cfg(method="iu", damping=1e-3))
         df = influence.delta_f(trained, ds.subset(split.retain_idx), ds.subset(split.forget_idx), 1e-3)
         assert res.model.theta.tobytes() == (trained.theta + df).tobytes()
 
     def test_more_damping_shrinks_update(self, setup):
         ds, split, trained = setup
-        small = unlearn.influence_unlearn(trained, ds, split, damping=1e-3)
-        big = unlearn.influence_unlearn(trained, ds, split, damping=1.0)
+        small = unlearn.influence_unlearn(trained, ds, split, cfg(method="iu", damping=1e-3))
+        big = unlearn.influence_unlearn(trained, ds, split, cfg(method="iu", damping=1.0))
         step_small = np.linalg.norm(small.model.theta - trained.theta)
         step_big = np.linalg.norm(big.model.theta - trained.theta)
         assert step_big < step_small
@@ -193,7 +193,7 @@ class TestUGradSL:
     def test_equal_steps_when_sets_equal(self):
         ds = make_blobs(seed=2, K=2, per_class=10, d=3)
         half = np.arange(ds.n // 2)
-        split = data.ForgetSplit(np.arange(ds.n // 2, ds.n), half, "random")
+        split = data.ForgetSplit(np.arange(ds.n // 2, ds.n), half)
         m = models.init_model("logistic", 3, 2)
         c = cfg(method="ugradsl", epochs=3, batch_size=4)
         a = unlearn.ugradsl(m, ds, split, c)
@@ -204,22 +204,16 @@ class TestUGradSL:
 class TestRunMethod:
     def test_all_methods_deterministic(self, setup):
         ds, split, trained = setup
-        tc = TrainConfig(epochs=5, lr=0.1, seed=0)
         for method in unlearn.METHODS:
             c = UnlearnConfig(method=method, epochs=3, lr=0.01, seed=1)
-            a = unlearn.run_method(method, trained, ds, split, c, train_cfg=tc)
-            b = unlearn.run_method(method, trained, ds, split, c, train_cfg=tc)
+            a = unlearn.run_method(trained, ds, split, c)
+            b = unlearn.run_method(trained, ds, split, c)
             assert a.model.theta.tobytes() == b.model.theta.tobytes(), method
 
     def test_unknown_method(self, setup):
         ds, split, trained = setup
         with pytest.raises(DomainError):
             UnlearnConfig(method="scrub")
-
-    def test_retrain_needs_train_cfg(self, setup):
-        ds, split, trained = setup
-        with pytest.raises(DomainError):
-            unlearn.run_method("retrain", trained, ds, split, cfg(method="retrain"))
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -235,15 +229,14 @@ class TestEmptyRetain:
         split, _ = data.split_classwise(ds, 0)
         assert split.retain_idx.size == 0
         m = models.init_model("logistic", 3, 2)
-        tc = TrainConfig(epochs=2, lr=0.1, seed=0)
         for method in unlearn.METHODS:
             c = UnlearnConfig(method=method, epochs=2, seed=0)
             if method in ("ga", "iu"):
-                res = unlearn.run_method(method, m, ds, split, c, train_cfg=tc)
+                res = unlearn.run_method(m, ds, split, c)
                 assert np.isfinite(res.model.theta).all(), method
             else:
                 with pytest.raises(DomainError, match="empty"):
-                    unlearn.run_method(method, m, ds, split, c, train_cfg=tc)
+                    unlearn.run_method(m, ds, split, c)
 
 
 class TestUnlearnConfig:
