@@ -8,8 +8,6 @@ reference.
 Run with:  python3 demos/demo_classwise_unlearning.py
 """
 
-import numpy as np
-
 from unlearn_forge import data, metrics, models, unlearn
 from unlearn_forge.models import TrainConfig
 from unlearn_forge.numcore import rng_stream

@@ -65,13 +65,17 @@ def train_original(cfg: dict, ds: data.LabeledDataset) -> models.Model:
 
 
 def methods(cfg: dict) -> list[str]:
-    """The names in ``unlearn.methods``, in order; at least one, all known."""
+    """The names in ``unlearn.methods``, in order; at least one, all known,
+    and each able to run on ``model.kind``."""
     names = [m.strip() for m in cfg["unlearn.methods"].split(",") if m.strip()]
     if not names:
         raise ConfigError("unlearn.methods names no method")
     for m in names:
         if m not in unlearn.METHODS:
             raise ConfigError(f"unknown method {m!r} in unlearn.methods")
+    if "iu" in names and cfg["model.kind"] != "logistic":
+        raise ConfigError(f"unlearn.methods lists iu, which needs the exact Hessian of "
+                          f"model.kind = logistic, not {cfg['model.kind']!r}")
     return names
 
 

@@ -183,7 +183,8 @@ def check_theorem2(theta_tr_model: Model, theta_r_model: Model,
     rep.condition_met = rep.inner <= 0.0
     K = theta_tr_model.K
     rep.closed_form_alpha = closed_form_best_alpha(rep.delta_r, rep.delta_f, rep.delta_n, K)
-    dists = np.array([gls_distance(rep.delta_r, rep.delta_f, rep.delta_n, K, a) for a in alpha_grid])
+    # gls_distance at every grid point at once
+    dists = np.linalg.norm(u + (1.0 - K) / K * alpha_grid[:, None] * v, axis=1)
     if rep.condition_met:
         i = int(np.argmin(dists))
         rep.best_alpha = float(alpha_grid[i])

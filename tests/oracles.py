@@ -2,8 +2,9 @@
 
 Each one takes a slow, independent route to a quantity the package computes
 in closed form or analytically: central finite differences for gradients,
-projected gradient descent for the label-LDP prediction distribution, and the
-per-label and unmixed forms of the smoothed and gradient-mixed losses.
+the dense per-row einsum for the logistic Hessian, projected gradient descent
+for the label-LDP prediction distribution, and the per-label and unmixed
+forms of the smoothed and gradient-mixed losses.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from unlearn_forge import models
 from unlearn_forge.errors import DimensionError, DomainError
-from unlearn_forge.models import Model, onehot
+from unlearn_forge.models import Model, n_params, onehot
 from unlearn_forge.privacy import LdpParams
 
 
@@ -35,6 +36,29 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float =
             raise DomainError(f"non-finite function value near coordinate {i}")
         g[i] = (fp - fm) / (2.0 * h)
     return g
+
+
+def hessian_einsum(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
+    """models.hessian summed row by row: one three-operand einsum over
+    ``S_n (diag(p_n) - p_n p_n^T)`` and both augmented feature rows."""
+    X = np.asarray(X, dtype=np.float64)
+    soft = np.asarray(soft, dtype=np.float64)
+    n, d, K = X.shape[0], model.d, model.K
+    P = n_params("logistic", d, K)
+    if n == 0:
+        return model.l2 * np.eye(P)
+    p = models.forward(model, X)
+    S = soft.sum(axis=1)
+    A = S[:, None, None] * (p[:, :, None] * np.eye(K)[None, :, :] - p[:, :, None] * p[:, None, :])
+    Xt = np.hstack([X, np.ones((n, 1))])
+    H_aug = np.einsum("nkl,ni,nj->kilj", A, Xt, Xt) / n
+    H_aug = H_aug.reshape(K * (d + 1), K * (d + 1))
+    # reorder from per-class [w_k, b_k] blocks to the flat [W.ravel(), b] layout
+    starts = np.arange(K)[:, None] * (d + 1)
+    perm = np.concatenate([(starts + np.arange(d)).ravel(), starts.ravel() + d])
+    H = H_aug[np.ix_(perm, perm)]
+    H = 0.5 * (H + H.T)
+    return H + model.l2 * np.eye(P)
 
 
 def simplex_oracle(params: LdpParams, iters: int = 10_000, step: float = 1e-2) -> np.ndarray:

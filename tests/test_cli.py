@@ -1,9 +1,8 @@
 import json
 
-import numpy as np
 import pytest
 
-from unlearn_forge import cli, data, models
+from unlearn_forge import cli, data, experiment, models
 from unlearn_forge.config import default_config, parse_config, parse_seeds
 from unlearn_forge.errors import ConfigError
 from unlearn_forge.modelio import load_model, save_model
@@ -196,6 +195,18 @@ class TestConfigErrors:
         monkeypatch.setattr(cli, "train_original", fail)
         assert cli.main(["train", "--config", write_cfg(tmp_path)]) == 2
         assert cli.main(["gen-data", "--config", write_cfg(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["unlearn", "benchmark"])
+    def test_iu_on_mlp_exit_2_before_work(self, tmp_path, capsys, monkeypatch, command):
+        def fail(*_):
+            raise AssertionError("called before unlearn.methods was checked")
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "build_datasets", fail)
+            monkeypatch.setattr(module, "train_original", fail)
+        cfgp = write_cfg(tmp_path, "model.kind = mlp\nunlearn.methods = retrain,iu\n")
+        assert cli.main([command, "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert "unlearn.methods" in err and "model.kind" in err
 
     def test_file_label_past_k_exit_3(self, tmp_path, capsys):
         csv = tmp_path / "ds.csv"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_blobs, random_model
-from unlearn_forge import data, metrics, models
+from unlearn_forge import data, models
 from unlearn_forge.errors import DomainError
 from unlearn_forge.metrics import (MetricsReport, accuracy, avg_gap, example_losses,
                                    mia_accuracy_additional, mia_score, streisand, sum_metric, ua)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs, random_model
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, hessian_einsum
 from unlearn_forge import cli, models
 from unlearn_forge.errors import DimensionError, DomainError, SolverError, UnsupportedModelError
 from unlearn_forge.modelio import load_model
 from unlearn_forge.models import Model, TrainConfig, ce_loss, forward, grad, hessian, onehot
-from unlearn_forge.numcore import rng_stream
+from unlearn_forge.smoothing import gls_labels
 
 
 def rel_err(a, b):
@@ -190,6 +190,23 @@ class TestHessian:
         X = rng.standard_normal((10, 4))
         H = hessian(m, X, onehot(rng.integers(3, size=10), 3))
         assert np.linalg.eigvalsh(H).min() >= 1e-2 - 1e-9
+
+    @pytest.mark.parametrize("K", [2, 10])
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+    def test_matches_einsum_oracle(self, rng, n, K):
+        # n straddles the row-chunk edges; alpha = -0.4 rows plus all-zero (S = 0) rows
+        m = random_model(rng, d=5, K=K)
+        X = rng.standard_normal((n, 5))
+        soft = gls_labels(rng.integers(K, size=n), K, -0.4)
+        soft[1::3] = 0.0
+        H = hessian(m, X, soft)
+        assert np.array_equal(H, H.T)
+        assert rel_err(H, hessian_einsum(m, X, soft)) <= 1e-12
+
+    def test_no_rows_is_l2_identity(self, rng):
+        m = random_model(rng, d=4, K=3, l2=0.03)
+        H = hessian(m, np.zeros((0, 4)), np.zeros((0, 3)))
+        assert np.array_equal(H, 0.03 * np.eye(m.theta.size))
 
     def test_mlp_rejected(self, rng):
         m = random_model(rng, kind="mlp")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import simplex_oracle
-from unlearn_forge import privacy
 from unlearn_forge.errors import DomainError
 from unlearn_forge.privacy import (LdpParams, label_ldp_epsilon, optimal_prediction_distribution,
                                    verify_ratio_bound)

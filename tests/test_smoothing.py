@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import random_model
 from oracles import finite_diff_grad, gls_label, gls_loss, mixed_loss
-from unlearn_forge import models, smoothing
 from unlearn_forge.errors import DimensionError, DomainError
 from unlearn_forge.models import ce_loss, onehot
 from unlearn_forge.smoothing import (SmoothingPolicy, adaptive_rates, batch_alphas, gls_labels,
