@@ -23,8 +23,8 @@ import sys
 from . import __version__, data, metrics, privacy, unlearn
 from .config import default_config, parse_config, parse_seeds
 from .errors import ConfigError, SolverError, UnlearnForgeError
-from .experiment import (build_datasets, build_split, cell_record, methods, run_benchmark,
-                         run_cell, run_verify_theory, train_original)
+from .experiment import (build_datasets, build_split, cell_record, check_method, methods,
+                         run_benchmark, run_cell, run_verify_theory, train_original)
 from .experiment import theory_instance  # noqa: F401  (read by bench/workloads.py)
 from .modelio import load_model, save_model
 
@@ -121,7 +121,7 @@ def cmd_train(args) -> int:
 
 def cmd_unlearn(args) -> int:
     cfg = _load_cfg(args)
-    method = args.method or methods(cfg)[0]
+    method = check_method(cfg, args.method, "--method") if args.method else methods(cfg)[0]
     seed = parse_seeds(cfg["seeds"])[0]
     ds, test = build_datasets(cfg)
     split, eval_test = build_split(cfg, ds, test)

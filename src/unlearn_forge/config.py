@@ -8,60 +8,59 @@ from __future__ import annotations
 
 from .errors import ConfigError
 
-# key -> (type, default)
-SCHEMA: dict[str, tuple[type, object]] = {
-    "data.file": (str, ""),
-    "data.k": (int, 3),
-    "data.per_class": (int, 100),
-    "data.dim": (int, 5),
-    "data.spread": (float, 1.0),
-    "data.subgroups": (int, 2),
-    "data.seed": (int, 0),
-    "data.test_per_class": (int, 100),
-    "split.paradigm": (str, "classwise"),
-    "split.class": (int, 0),
-    "split.fraction": (float, 0.1),
-    "split.groups": (str, ""),
-    "split.seed": (int, 0),
-    "model.kind": (str, "logistic"),
-    "model.hidden": (int, 16),
-    "model.l2": (float, 1e-2),
-    "train.epochs": (int, 60),
-    "train.batch_size": (int, 32),
-    "train.lr": (float, 0.1),
-    "train.seed": (int, 0),
-    "unlearn.methods": (str, "retrain,ft,ga,rl,iu,ugradsl,ugradsl_plus"),
-    "unlearn.epochs": (int, 10),
-    "unlearn.lr": (float, 0.01),
-    "unlearn.p": (float, 0.5),
-    "unlearn.batch_size": (int, 32),
-    "unlearn.damping": (float, 1e-3),
-    "smooth.mode": (str, "adaptive"),
-    "smooth.alpha": (float, -0.5),
-    "smooth.beta": (float, 0.9),
-    "theory.instances": (int, 20),
-    "theory.damping": (float, 1e-3),
-    "theory.alpha_grid_min": (float, -5.0),
-    "theory.alpha_grid_points": (int, 201),
-    "theory.seed": (int, 0),
-    "seeds": (str, "0"),
+# key -> (type, default, minimum or None)
+SCHEMA: dict[str, tuple[type, object, object]] = {
+    "data.file": (str, "", None),
+    "data.k": (int, 3, None),
+    "data.per_class": (int, 100, None),
+    "data.dim": (int, 5, None),
+    "data.spread": (float, 1.0, None),
+    "data.subgroups": (int, 2, None),
+    "data.seed": (int, 0, None),
+    "data.test_per_class": (int, 100, 2),
+    "split.paradigm": (str, "classwise", None),
+    "split.class": (int, 0, None),
+    "split.fraction": (float, 0.1, None),
+    "split.groups": (str, "", None),
+    "split.seed": (int, 0, None),
+    "model.kind": (str, "logistic", None),
+    "model.hidden": (int, 16, None),
+    "model.l2": (float, 1e-2, None),
+    "train.epochs": (int, 60, 0),
+    "train.batch_size": (int, 32, 1),
+    "train.lr": (float, 0.1, 0.0),
+    "train.seed": (int, 0, None),
+    "unlearn.methods": (str, "retrain,ft,ga,rl,iu,ugradsl,ugradsl_plus", None),
+    "unlearn.epochs": (int, 10, 0),
+    "unlearn.lr": (float, 0.01, 0.0),
+    "unlearn.p": (float, 0.5, None),
+    "unlearn.batch_size": (int, 32, 1),
+    "unlearn.damping": (float, 1e-3, None),
+    "smooth.mode": (str, "adaptive", None),
+    "smooth.alpha": (float, -0.5, None),
+    "smooth.beta": (float, 0.9, None),
+    "theory.instances": (int, 20, None),
+    "theory.damping": (float, 1e-3, None),
+    "theory.alpha_grid_min": (float, -5.0, None),
+    "theory.alpha_grid_points": (int, 201, None),
+    "theory.seed": (int, 0, None),
+    "seeds": (str, "0", None),
 }
 
 
 def default_config() -> dict:
-    return {k: v for k, (_, v) in SCHEMA.items()}
+    return {k: v for k, (_, v, _) in SCHEMA.items()}
 
 
 def _coerce(key: str, raw: str, lineno: int):
-    typ = SCHEMA[key][0]
+    typ, _, minimum = SCHEMA[key]
     try:
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        return raw
+        value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from exc
+    if minimum is not None and not value >= minimum:  # also rejects nan
+        raise ConfigError(f"line {lineno}: key {key!r}: {value} is below the minimum {minimum}")
+    return value
 
 
 def parse_config(path) -> dict:

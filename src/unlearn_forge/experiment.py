@@ -70,13 +70,18 @@ def methods(cfg: dict) -> list[str]:
     names = [m.strip() for m in cfg["unlearn.methods"].split(",") if m.strip()]
     if not names:
         raise ConfigError("unlearn.methods names no method")
-    for m in names:
-        if m not in unlearn.METHODS:
-            raise ConfigError(f"unknown method {m!r} in unlearn.methods")
-    if "iu" in names and cfg["model.kind"] != "logistic":
-        raise ConfigError(f"unlearn.methods lists iu, which needs the exact Hessian of "
+    return [check_method(cfg, m, "unlearn.methods") for m in names]
+
+
+def check_method(cfg: dict, name: str, source: str) -> str:
+    """``name``, once it is a known method able to run on ``model.kind``;
+    the ConfigError otherwise names ``source``, where the name came from."""
+    if name not in unlearn.METHODS:
+        raise ConfigError(f"unknown method {name!r} in {source}")
+    if name == "iu" and cfg["model.kind"] != "logistic":
+        raise ConfigError(f"{source} names iu, which needs the exact Hessian of "
                           f"model.kind = logistic, not {cfg['model.kind']!r}")
-    return names
+    return name
 
 
 def run_cell(cfg: dict, method: str, seed: int, ds: data.LabeledDataset,

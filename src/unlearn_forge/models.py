@@ -12,13 +12,15 @@ batch plus ``l2/2 * ||theta||^2``.  Soft-label rows must sum to 1 but entries
 may be negative (negative label smoothing).
 
 ``minibatch_sgd`` is the one minibatch loop behind ``sgd_train`` and every
-iterative unlearning method; each caller supplies its per-batch gradient.
+iterative unlearning method.  Each caller prepares an epoch's batches once,
+from that epoch's shuffled order, and the loop then steps through them with
+only the parameter-dependent gradient left per step.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +57,15 @@ class Model:
             raise DimensionError(f"theta has shape {self.theta.shape}, expected ({expected},)")
 
     def with_theta(self, theta: np.ndarray) -> "Model":
-        return replace(self, theta=np.asarray(theta, dtype=np.float64))
+        """This model with parameters ``theta``.  The other fields were
+        validated when this model was built, so only theta's shape is checked:
+        the minibatch loop calls this once per step."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != self.theta.shape:
+            raise DimensionError(f"theta has shape {theta.shape}, expected {self.theta.shape}")
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, theta=theta)
+        return new
 
 
 @dataclass(frozen=True)
@@ -240,18 +250,21 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     return H + model.l2 * np.eye(P)
 
 
-def minibatch_sgd(model: Model, n: int, cfg, rng: np.random.Generator, batch_grad,
+def minibatch_sgd(model: Model, n: int, cfg, rng: np.random.Generator, epoch_grad,
                   epoch_loss, name: str) -> tuple[Model, list[float]]:
-    """Per epoch, step ``theta -= cfg.lr * batch_grad(model_at_theta, idx)`` over the
-    ``cfg.batch_size`` slices of one ``rng.permutation(n)``, then record
-    ``epoch_loss(model_at_theta)``.  Ascent closures return the negated gradient.
-    Raises DomainError naming ``name`` once theta or the loss is not finite."""
+    """Per epoch, draw ``order = rng.permutation(n)`` and call ``epoch_grad(order)``
+    once; it prepares that epoch's batches and returns ``batch_grad(model_at_theta,
+    lo, hi)``, the gradient on the rows ``order[lo:hi]``.  Then step
+    ``theta -= cfg.lr * batch_grad(...)`` over the ``cfg.batch_size`` slices of
+    ``order`` and record ``epoch_loss(model_at_theta)``.  Ascent closures return
+    the negated gradient.  Raises DomainError naming ``name`` once theta or the
+    loss is not finite."""
     theta = model.theta.copy()
     history: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            theta = theta - cfg.lr * batch_grad(model.with_theta(theta), order[start:start + cfg.batch_size])
+        batch_grad = epoch_grad(rng.permutation(n))
+        for lo in range(0, n, cfg.batch_size):
+            theta = theta - cfg.lr * batch_grad(model.with_theta(theta), lo, lo + cfg.batch_size)
             if not np.isfinite(theta).all():
                 raise DomainError(f"{name} diverged in epoch {epoch}: parameters are no longer finite")
         history.append(epoch_loss(model.with_theta(theta)))
@@ -268,8 +281,11 @@ def sgd_train(model: Model, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
         raise DomainError("cannot train on an empty dataset")
     labels = _check_soft(model, X, onehot(y, model.K))
     rng = rng if rng is not None else rng_stream(cfg.seed, 0)
-    return minibatch_sgd(model, X.shape[0], cfg, rng,
-                         lambda m, idx: _grad(m, X[idx], labels[idx]),
+
+    def epoch_grad(order):
+        Xo, So = X[order], labels[order]
+        return lambda m, lo, hi: _grad(m, Xo[lo:hi], So[lo:hi])
+    return minibatch_sgd(model, X.shape[0], cfg, rng, epoch_grad,
                          lambda m: ce_loss(m, X, labels), "sgd_train")
 
 

@@ -7,7 +7,10 @@ model, wall-clock seconds of the unlearning call only, and per-epoch loss
 history.  ``run_method`` picks the function named by ``cfg.method``.
 
 Every iterative method runs on the one minibatch loop ``models.minibatch_sgd``,
-FT and RL through ``models.sgd_train``, the others with their own batch gradients.
+FT and RL through ``models.sgd_train``, GA and UGradSL(+) with their own
+``epoch_grad``: once per epoch it gathers the rows of that epoch's shuffled
+order (for UGradSL also the partner rows, the smooth rates and the smoothed
+labels), and each step takes the gradient on a slice of them.
 """
 
 from __future__ import annotations
@@ -86,9 +89,12 @@ def gradient_ascent(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: U
     """SGD on the negated loss over the forget rows only."""
     forget = ds.subset(split.forget_idx)
     labels = onehot(forget.y, model.K)
+
+    def epoch_grad(order):
+        Xo, So = forget.X[order], labels[order]
+        return lambda m, lo, hi: -models._grad(m, Xo[lo:hi], So[lo:hi])
     return _timed(lambda: models.minibatch_sgd(
-        model, forget.n, cfg, rng_stream(cfg.seed, 2),
-        lambda m, idx: -models._grad(m, forget.X[idx], labels[idx]),
+        model, forget.n, cfg, rng_stream(cfg.seed, 2), epoch_grad,
         lambda m: models.ce_loss(m, forget.X, labels), "ga"))
 
 
@@ -119,8 +125,11 @@ def _ugradsl_run(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: Unle
                  retain_driven: bool) -> UnlearnResult:
     """Shared runner for ugradsl (forget-driven) and ugradsl_plus (retain-driven).
 
-    The driving set is iterated in shuffled batches each epoch; the other set
-    is re-sampled with replacement to the same batch size each step.
+    The driving set is iterated in shuffled batches each epoch; each batch is
+    paired with as many rows of the other set, drawn with replacement.  One
+    ``rng.integers(other_n, size=drive_n)`` per epoch gives the same partners
+    as one draw per batch, so the epoch's pairs, smooth rates and smoothed
+    labels are all built before its first step.
     """
     _require_retain(split)
     retain = ds.subset(split.retain_idx)
@@ -129,14 +138,15 @@ def _ugradsl_run(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: Unle
     drive_n, other_n = (retain.n, forget.n) if retain_driven else (forget.n, retain.n)
     rng = rng_stream(cfg.seed, 4)
 
-    def batch_grad(m, d_idx):
-        o_idx = rng.integers(other_n, size=d_idx.size)
-        r_idx, f_idx = (d_idx, o_idx) if retain_driven else (o_idx, d_idx)
-        Xr, Xf = retain.X[r_idx], forget.X[f_idx]
-        alphas = smoothing.batch_alphas(cfg.smoothing, Xr, Xf)
+    def epoch_grad(order):
+        partners = rng.integers(other_n, size=drive_n)
+        r_idx, f_idx = (order, partners) if retain_driven else (partners, order)
+        Xr, yr, Xf = retain.X[r_idx], retain.y[r_idx], forget.X[f_idx]
+        alphas = smoothing.epoch_alphas(cfg.smoothing, Xr, Xf, cfg.batch_size)
         soft_f = smoothing.gls_labels(forget.y[f_idx], model.K, alphas)
-        return smoothing.mixed_grad(m, Xr, retain.y[r_idx], Xf, soft_f, cfg.p)
-    return _timed(lambda: models.minibatch_sgd(model, drive_n, cfg, rng, batch_grad,
+        return lambda m, lo, hi: smoothing.mixed_grad(m, Xr[lo:hi], yr[lo:hi], Xf[lo:hi],
+                                                      soft_f[lo:hi], cfg.p)
+    return _timed(lambda: models.minibatch_sgd(model, drive_n, cfg, rng, epoch_grad,
                                                lambda m: models.ce_loss(m, forget.X, labels),
                                                "ugradsl_plus" if retain_driven else "ugradsl"))
 

@@ -49,6 +49,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_seeds("a,b")
 
+    def test_minimum_values_accepted(self, tmp_path):
+        p = tmp_path / "min.cfg"
+        p.write_text("train.batch_size = 1\nunlearn.batch_size = 1\ntrain.epochs = 0\n"
+                     "unlearn.epochs = 0\ntrain.lr = 0\nunlearn.lr = 0\ndata.test_per_class = 2\n")
+        cfg = parse_config(p)
+        assert (cfg["train.batch_size"], cfg["unlearn.epochs"], cfg["data.test_per_class"]) == (1, 0, 2)
+
     def test_format_roundtrip(self, tmp_path):
         cfg = default_config()
         cfg["data.spread"] = 1.25
@@ -207,6 +214,25 @@ class TestConfigErrors:
         assert cli.main([command, "--config", cfgp]) == 2
         err = capsys.readouterr().err
         assert "unlearn.methods" in err and "model.kind" in err
+
+    def test_iu_flag_on_mlp_exit_2_before_work(self, tmp_path, capsys, monkeypatch):
+        def fail(*_):
+            raise AssertionError("called before --method was checked")
+        monkeypatch.setattr(cli, "build_datasets", fail)
+        monkeypatch.setattr(cli, "train_original", fail)
+        cfgp = write_cfg(tmp_path, "model.kind = mlp\n")
+        assert cli.main(["unlearn", "--config", cfgp, "--method", "iu"]) == 2
+        err = capsys.readouterr().err
+        assert "--method" in err and "model.kind" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("train.batch_size", "0"), ("unlearn.batch_size", "0"), ("train.epochs", "-1"),
+        ("unlearn.epochs", "-1"), ("train.lr", "-0.1"), ("unlearn.lr", "nan"),
+        ("data.test_per_class", "1")])
+    def test_out_of_range_value_exit_2(self, tmp_path, capsys, key, value):
+        cfgp = write_cfg(tmp_path, f"{key} = {value}\n")
+        assert cli.main(["unlearn", "--config", cfgp, "--method", "ga"]) == 2
+        assert key in capsys.readouterr().err
 
     def test_file_label_past_k_exit_3(self, tmp_path, capsys):
         csv = tmp_path / "ds.csv"

@@ -147,6 +147,33 @@ class TestEngineMatchesOracle:
                                 cfg, retain_driven=method == "ugradsl_plus")
         assert_same(r.model.theta, r.history, oracle)
 
+    # with 54 retain and 15 forget rows these give even splits (1, 6 and 54 for
+    # ugradsl_plus; 1, 5 and 15 for ugradsl), short last batches and batches
+    # larger than the driving set
+    @pytest.mark.parametrize("batch_size", [1, 5, 6, 15, 54, 500])
+    @pytest.mark.parametrize("policy", [SmoothingPolicy(mode="fixed", alpha=-0.5),
+                                        SmoothingPolicy(mode="fixed", alpha=0.4),
+                                        SmoothingPolicy(mode="adaptive", beta=0.9)],
+                             ids=["fixed-negative", "fixed-positive", "adaptive"])
+    @pytest.mark.parametrize("method", ["ugradsl", "ugradsl_plus"])
+    def test_ugradsl_edge_batch_sizes(self, setup, method, policy, batch_size):
+        ds, split, trained = setup
+        assert (split.retain_idx.size, split.forget_idx.size) == (54, 15)
+        cfg = UnlearnConfig(method=method, epochs=2, lr=0.05, p=0.3, batch_size=batch_size,
+                            seed=7, smoothing=policy)
+        r = unlearn.run_method(trained, ds, split, cfg)
+        oracle = oracle_ugradsl(trained, ds.subset(split.retain_idx), ds.subset(split.forget_idx),
+                                cfg, retain_driven=method == "ugradsl_plus")
+        assert_same(r.model.theta, r.history, oracle)
+
+    @pytest.mark.parametrize("batch_size", [1, 5, 15, 500])
+    def test_gradient_ascent_edge_batch_sizes(self, setup, batch_size):
+        ds, split, trained = setup
+        cfg = UnlearnConfig(method="ga", epochs=2, lr=0.05, batch_size=batch_size, seed=7)
+        r = unlearn.gradient_ascent(trained, ds, split, cfg)
+        assert_same(r.model.theta, r.history,
+                    oracle_gradient_ascent(trained, ds.subset(split.forget_idx), cfg))
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestDivergence:

@@ -252,6 +252,19 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             Model(kind="tree", theta=np.zeros(6), d=2, K=2)
 
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_with_theta_checks_shape_and_keeps_fields(self, kind):
+        m = models.init_model(kind, 3, 2, l2=0.5, hidden=4)
+        before = m.theta.copy()
+        for bad in (np.zeros(m.theta.size + 1), np.zeros((1, m.theta.size))):
+            with pytest.raises(DimensionError):
+                m.with_theta(bad)
+        new = m.with_theta(list(range(m.theta.size)))
+        assert new.theta.dtype == np.float64
+        assert new.theta.tolist() == list(range(m.theta.size))
+        assert (new.kind, new.d, new.K, new.l2, new.hidden) == (m.kind, m.d, m.K, m.l2, m.hidden)
+        assert m.theta.tobytes() == before.tobytes()  # the original is untouched
+
     def test_train_config_validation(self):
         with pytest.raises(DomainError):
             TrainConfig(batch_size=0)

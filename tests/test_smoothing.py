@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import random_model
 from oracles import finite_diff_grad, gls_label, gls_loss, mixed_loss
+from unlearn_forge import smoothing
 from unlearn_forge.errors import DimensionError, DomainError
 from unlearn_forge.models import ce_loss, onehot
+from unlearn_forge.numcore import rng_stream
 from unlearn_forge.smoothing import (SmoothingPolicy, adaptive_rates, batch_alphas, gls_labels,
                                      mixed_grad, pairwise_distance)
 
@@ -155,6 +157,76 @@ class TestBatchAlphas:
             SmoothingPolicy(mode="adaptive", beta=1.5)
         with pytest.raises(DomainError):
             SmoothingPolicy(mode="annealed")
+
+
+class TestStackedBatches:
+    """Leading dimensions are independent batches: the stacked result equals
+    the per-slice 2-D calls bit for bit."""
+
+    @staticmethod
+    def stacked(rng, batches=4, rows=6, d=3):
+        Xr = rng.standard_normal((batches, rows, d))
+        Xf = rng.standard_normal((batches, rows, d))
+        Xr[1, 2] = 0.0  # zero rows: distance 0.5 to everything
+        Xf[3, 0] = 0.0
+        return Xr, Xf
+
+    def test_pairwise_distance(self, rng):
+        Xr, Xf = self.stacked(rng)
+        out = pairwise_distance(Xr, Xf)
+        assert out.shape == (4, 6, 6)
+        for b in range(4):
+            assert out[b].tobytes() == pairwise_distance(Xr[b], Xf[b]).tobytes()
+        assert np.all(out[1, 2] == 0.5) and np.all(out[3, :, 0] == 0.5)
+
+    def test_adaptive_rates(self, rng):
+        Xr, Xf = self.stacked(rng)
+        out = adaptive_rates(Xr, Xf, 0.4)
+        assert out.shape == (4, 6)
+        for b in range(4):
+            assert out[b].tobytes() == adaptive_rates(Xr[b], Xf[b], 0.4).tobytes()
+
+    @pytest.mark.parametrize("policy", [SmoothingPolicy(mode="fixed", alpha=-0.5),
+                                        SmoothingPolicy(mode="adaptive", beta=0.5)],
+                             ids=["fixed", "adaptive"])
+    def test_batch_alphas(self, rng, policy):
+        Xr, Xf = self.stacked(rng)
+        out = batch_alphas(policy, Xr, Xf)
+        assert out.shape == (4, 6)
+        for b in range(4):
+            assert out[b].tobytes() == batch_alphas(policy, Xr[b], Xf[b]).tobytes()
+
+
+class TestEpochAlphas:
+    @pytest.mark.parametrize("entries", ["one-batch", "two-batches", "below-one-batch",
+                                         "past-the-epoch"])
+    @pytest.mark.parametrize("policy", [SmoothingPolicy(mode="fixed", alpha=0.3),
+                                        SmoothingPolicy(mode="adaptive", beta=0.6)],
+                             ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("n, batch", [(23, 5), (20, 5), (4, 7), (9, 1)])
+    def test_equals_per_batch_calls(self, rng, monkeypatch, policy, entries, n, batch):
+        sizes = {"one-batch": batch * batch, "two-batches": 2 * batch * batch,
+                 "below-one-batch": 1, "past-the-epoch": 10 * n * batch}
+        monkeypatch.setattr(smoothing, "ALPHA_BLOCK_ENTRIES", sizes[entries])
+        Xr = rng.standard_normal((n, 3))
+        Xf = rng.standard_normal((n, 3))
+        Xr[n // 2] = 0.0
+        per_batch = np.concatenate([batch_alphas(policy, Xr[lo:lo + batch], Xf[lo:lo + batch])
+                                    for lo in range(0, n, batch)])
+        assert smoothing.epoch_alphas(policy, Xr, Xf, batch).tobytes() == per_batch.tobytes()
+
+
+@pytest.mark.parametrize("m, n, batch", [(15, 54, 5), (54, 15, 6), (9, 1, 32),
+                                         (2**31 + 11, 100, 7), (2**40, 33, 32)])
+def test_one_partner_draw_per_epoch_equals_one_per_batch(m, n, batch):
+    """UGradSL draws an epoch's partners in one ``integers`` call; the engine
+    oracles draw per batch.  Both must give the same values and leave the
+    generator in the same state for the next epoch's permutation."""
+    whole, split = rng_stream(3, 4), rng_stream(3, 4)
+    drawn = whole.integers(m, size=n)
+    parts = [split.integers(m, size=min(batch, n - lo)) for lo in range(0, n, batch)]
+    assert drawn.tolist() == np.concatenate(parts).tolist()
+    assert whole.bit_generator.state == split.bit_generator.state
 
 
 class TestMixedLoss:
