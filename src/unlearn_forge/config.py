@@ -8,8 +8,11 @@ from __future__ import annotations
 
 from .errors import ConfigError
 
-# key -> (type, default, minimum or None)
-SCHEMA: dict[str, tuple[type, object, object]] = {
+# key -> (type, default, domain or None).  A domain is an interval in the
+# usual notation, "[" / "]" closed and "(" / ")" open at that end, e.g.
+# "[0, 1]", "(0, 1)" or "[1, inf)"; a value outside it is a ConfigError.
+# Each key has one domain, whatever the mode or paradigm that reads it.
+SCHEMA: dict[str, tuple[type, object, str | None]] = {
     "data.file": (str, "", None),
     "data.k": (int, 3, None),
     "data.per_class": (int, 100, None),
@@ -17,30 +20,30 @@ SCHEMA: dict[str, tuple[type, object, object]] = {
     "data.spread": (float, 1.0, None),
     "data.subgroups": (int, 2, None),
     "data.seed": (int, 0, None),
-    "data.test_per_class": (int, 100, 2),
+    "data.test_per_class": (int, 100, "[2, inf)"),
     "split.paradigm": (str, "classwise", None),
     "split.class": (int, 0, None),
-    "split.fraction": (float, 0.1, None),
+    "split.fraction": (float, 0.1, "(0, 1)"),
     "split.groups": (str, "", None),
     "split.seed": (int, 0, None),
     "model.kind": (str, "logistic", None),
     "model.hidden": (int, 16, None),
     "model.l2": (float, 1e-2, None),
-    "train.epochs": (int, 60, 0),
-    "train.batch_size": (int, 32, 1),
-    "train.lr": (float, 0.1, 0.0),
+    "train.epochs": (int, 60, "[0, inf)"),
+    "train.batch_size": (int, 32, "[1, inf)"),
+    "train.lr": (float, 0.1, "[0, inf)"),
     "train.seed": (int, 0, None),
     "unlearn.methods": (str, "retrain,ft,ga,rl,iu,ugradsl,ugradsl_plus", None),
-    "unlearn.epochs": (int, 10, 0),
-    "unlearn.lr": (float, 0.01, 0.0),
-    "unlearn.p": (float, 0.5, None),
-    "unlearn.batch_size": (int, 32, 1),
-    "unlearn.damping": (float, 1e-3, None),
+    "unlearn.epochs": (int, 10, "[0, inf)"),
+    "unlearn.lr": (float, 0.01, "[0, inf)"),
+    "unlearn.p": (float, 0.5, "[0, 1]"),
+    "unlearn.batch_size": (int, 32, "[1, inf)"),
+    "unlearn.damping": (float, 1e-3, "[0, inf)"),
     "smooth.mode": (str, "adaptive", None),
-    "smooth.alpha": (float, -0.5, None),
-    "smooth.beta": (float, 0.9, None),
+    "smooth.alpha": (float, -0.5, "(-inf, 1]"),
+    "smooth.beta": (float, 0.9, "[0, 1]"),
     "theory.instances": (int, 20, None),
-    "theory.damping": (float, 1e-3, None),
+    "theory.damping": (float, 1e-3, "[0, inf)"),
     "theory.alpha_grid_min": (float, -5.0, None),
     "theory.alpha_grid_points": (int, 201, None),
     "theory.seed": (int, 0, None),
@@ -52,14 +55,22 @@ def default_config() -> dict:
     return {k: v for k, (_, v, _) in SCHEMA.items()}
 
 
+def _in_domain(value, domain: str) -> bool:
+    """Whether ``value`` lies in the interval ``domain``; nan lies in none."""
+    low, high = (float(bound) for bound in domain[1:-1].split(","))
+    above = value > low if domain[0] == "(" else value >= low
+    below = value < high if domain[-1] == ")" else value <= high
+    return above and below
+
+
 def _coerce(key: str, raw: str, lineno: int):
-    typ, _, minimum = SCHEMA[key]
+    typ, _, domain = SCHEMA[key]
     try:
         value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from exc
-    if minimum is not None and not value >= minimum:  # also rejects nan
-        raise ConfigError(f"line {lineno}: key {key!r}: {value} is below the minimum {minimum}")
+    if domain is not None and not _in_domain(value, domain):
+        raise ConfigError(f"line {lineno}: key {key!r}: {value} is outside {domain}")
     return value
 
 

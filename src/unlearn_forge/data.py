@@ -40,7 +40,11 @@ class LabeledDataset:
         return self.X.shape[1]
 
     def subset(self, idx) -> "LabeledDataset":
+        """The rows ``idx``, each of which must lie in [0, n)."""
         idx = np.asarray(idx, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            bad = idx[(idx < 0) | (idx >= self.n)][0]
+            raise DimensionError(f"row index {bad} outside a dataset of n = {self.n} rows")
         groups = self.groups[idx] if self.groups is not None else None
         return LabeledDataset(self.X[idx], self.y[idx], self.K, groups)
 

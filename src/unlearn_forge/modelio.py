@@ -1,5 +1,6 @@
 """Text serialization of models: versioned header, dims, then one parameter
-per line at 17 significant digits (exact float64 round-trip)."""
+per line at 17 significant digits (exact float64 round-trip).  Every line,
+the last included, ends in a newline, so a file cut short is detectable."""
 
 from __future__ import annotations
 
@@ -26,9 +27,12 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
     if not lines or lines[0] != MAGIC:
         raise ConfigError(f"not a model file (bad header): {path}")
+    if not text.endswith("\n"):
+        raise ConfigError(f"model file {path}: truncated, the last line has no newline")
     fields = {}
     try:
         for line in lines[1:7]:
@@ -45,4 +49,9 @@ def load_model(path) -> Model:
         raise ConfigError(f"malformed model file {path}: {exc}") from exc
     if theta.size != count or count != n_params(kind, d, K, hidden):
         raise ConfigError(f"model file {path}: parameter count mismatch")
+    if not np.isfinite(l2):
+        raise ConfigError(f"model file {path}: l2 is {l2}, not finite")
+    if not np.isfinite(theta).all():
+        i = int(np.argmin(np.isfinite(theta)))
+        raise ConfigError(f"model file {path}: parameter {i} is {theta[i]}, not finite")
     return Model(kind=kind, theta=theta, d=d, K=K, l2=l2, hidden=hidden)

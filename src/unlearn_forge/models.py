@@ -14,11 +14,18 @@ may be negative (negative label smoothing).
 ``minibatch_sgd`` is the one minibatch loop behind ``sgd_train`` and every
 iterative unlearning method.  Each caller prepares an epoch's batches once,
 from that epoch's shuffled order, and the loop then steps through them with
-only the parameter-dependent gradient left per step.
+only the parameter-dependent gradient left per step.  The loop owns one
+``Model`` per run and steps its parameter vector in place.
+
+The kernels are called thousands of times on batches of a few dozen rows, so
+they reuse their own temporaries (``out=``, in-place updates) wherever that
+leaves every floating-point operation as it was; the results are bit for bit
+those of the plain expressions.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -30,6 +37,7 @@ from .numcore import rng_stream, softmax_rows, solve_damped
 log = logging.getLogger("unlearn_forge")
 
 _P_FLOOR = 1e-300
+_SUM_TOL = 1e-9 + 1e-5  # soft-label row sums must lie within this of 1
 
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 200
@@ -57,9 +65,10 @@ class Model:
             raise DimensionError(f"theta has shape {self.theta.shape}, expected ({expected},)")
 
     def with_theta(self, theta: np.ndarray) -> "Model":
-        """This model with parameters ``theta``.  The other fields were
-        validated when this model was built, so only theta's shape is checked:
-        the minibatch loop calls this once per step."""
+        """This model with parameters ``theta`` (not copied when already
+        float64).  The other fields were validated when this model was built,
+        so only theta's shape is checked: Newton calls this once per trial
+        step, ``minibatch_sgd`` once per run."""
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != self.theta.shape:
             raise DimensionError(f"theta has shape {theta.shape}, expected {self.theta.shape}")
@@ -124,9 +133,12 @@ def logits(model: Model, X: np.ndarray) -> np.ndarray:
         raise DimensionError(f"X has shape {X.shape}, expected (n, {model.d})")
     if model.kind == "logistic":
         W, b = _unpack_logistic(model)
-        return X @ W.T + b
-    W1, b1, W2, b2 = _unpack_mlp(model)
-    return np.tanh(X @ W1.T + b1) @ W2.T + b2
+        Z = X @ W.T
+    else:
+        W1, b1, W2, b = _unpack_mlp(model)
+        Z = np.tanh(X @ W1.T + b1) @ W2.T
+    Z += b
+    return Z
 
 
 def forward(model: Model, X: np.ndarray) -> np.ndarray:
@@ -153,11 +165,15 @@ def _check_soft(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     if soft.shape != (X.shape[0], model.K):
         raise DimensionError(f"soft labels have shape {soft.shape}, expected ({X.shape[0]}, {model.K})")
     sums = soft.sum(axis=1)
+    off = np.abs(sums - 1.0)
+    # every row summing to 1 is the common case: one max decides it (a NaN sum
+    # fails it and goes on to the full test)
+    if not off.size or off.max() <= _SUM_TOL:
+        return soft
     # all-zero rows are allowed (no label weight); otherwise rows must sum to 1.
     # Same test as np.isclose(sums, 1.0, atol=1e-9) | np.isclose(sums, 0.0, atol=1e-12),
     # written out because np.isclose costs more than a batch-32 gradient itself
-    bad = ~((np.abs(sums - 1.0) <= 1e-9 + 1e-5) | (np.abs(sums) <= 1e-12))
-    if np.any(bad):
+    if not ((off <= _SUM_TOL) | (np.abs(sums) <= 1e-12)).all():
         raise DomainError("soft label rows must sum to 1 (or be all zero)")
     return soft
 
@@ -167,10 +183,12 @@ def ce_loss(model: Model, X: np.ndarray, soft: np.ndarray) -> float:
     X = np.asarray(X, dtype=np.float64)
     soft = _check_soft(model, X, soft)
     p = forward(model, X)
-    if np.any((p <= 0) & (soft != 0)):
+    if log.isEnabledFor(logging.DEBUG) and np.any((p <= 0) & (soft != 0)):
         log.debug("clamping zero probabilities in ce_loss")
-    logp = np.log(np.maximum(p, _P_FLOOR))
-    data = -np.mean(np.sum(soft * logp, axis=1)) if X.shape[0] else 0.0
+    logp = np.maximum(p, _P_FLOOR, out=p)
+    np.log(logp, out=logp)
+    logp *= soft
+    data = -logp.sum(axis=1).mean() if X.shape[0] else 0.0
     return float(data + 0.5 * model.l2 * np.dot(model.theta, model.theta))
 
 
@@ -185,22 +203,28 @@ def _grad(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     n = X.shape[0]
     if n == 0:
         return model.l2 * model.theta.copy()
-    p = forward(model, X)
-    S = soft.sum(axis=1, keepdims=True)
-    dlogits = (p * S - soft) / n
+    dlogits = forward(model, X)
+    dlogits *= soft.sum(axis=1, keepdims=True)
+    dlogits -= soft
+    dlogits /= n
+    # each block of the gradient is written straight into its view of g
+    g = np.empty(model.theta.size)
     if model.kind == "logistic":
-        gW = dlogits.T @ X
-        gb = dlogits.sum(axis=0)
-        return np.concatenate([gW.ravel(), gb]) + model.l2 * model.theta
-    W1, b1, W2, b2 = _unpack_mlp(model)
-    A = np.tanh(X @ W1.T + b1)
-    gW2 = dlogits.T @ A
-    gb2 = dlogits.sum(axis=0)
-    dA = dlogits @ W2
-    dZ = dA * (1.0 - A * A)
-    gW1 = dZ.T @ X
-    gb1 = dZ.sum(axis=0)
-    return np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2]) + model.l2 * model.theta
+        gW, gb = _unpack_logistic(model.with_theta(g))
+        np.matmul(dlogits.T, X, out=gW)
+        dlogits.sum(axis=0, out=gb)
+    else:
+        W1, b1, W2, b2 = _unpack_mlp(model)
+        gW1, gb1, gW2, gb2 = _unpack_mlp(model.with_theta(g))
+        A = np.tanh(X @ W1.T + b1)
+        dZ = dlogits @ W2
+        dZ *= 1.0 - A * A
+        np.matmul(dZ.T, X, out=gW1)
+        dZ.sum(axis=0, out=gb1)
+        np.matmul(dlogits.T, A, out=gW2)
+        dlogits.sum(axis=0, out=gb2)
+    g += model.l2 * model.theta
+    return g
 
 
 def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
@@ -228,8 +252,10 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
         return model.l2 * np.eye(P)
     p = forward(model, X)
     S = soft.sum(axis=1)
-    Xt = np.hstack([X, np.ones((n, 1))])
     m = d + 1
+    Xt = np.empty((n, m))
+    Xt[:, :d] = X
+    Xt[:, d] = 1.0
     gram = np.zeros((K * m, K * m))
     blocks = np.zeros((K * m, m))
     for lo in range(0, n, HESSIAN_CHUNK_ROWS):
@@ -238,16 +264,32 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
         SB = S[rows, None] * B
         gram += SB.T @ B
         blocks += SB.T @ Xt[rows]
-    H_aug = -gram
-    for k in range(K):
-        H_aug[k * m:(k + 1) * m, k * m:(k + 1) * m] += blocks[k * m:(k + 1) * m]
+    diagonal, reorder = _hessian_index(K, d)
+    H_aug = np.negative(gram, out=gram)
+    H_aug[diagonal] += blocks
     H_aug /= n
-    # reorder from per-class [w_k, b_k] blocks to the flat [W.ravel(), b] layout
+    H = H_aug[reorder]
+    H += H.T
+    H *= 0.5
+    H += model.l2 * np.eye(P)
+    return H
+
+
+@functools.lru_cache(maxsize=64)
+def _hessian_index(K: int, d: int):
+    """Fancy indices for ``hessian``'s augmented K(d+1) x K(d+1) matrix: the
+    entries of its K diagonal (d+1) x (d+1) blocks, laid out like the stacked
+    ``blocks`` array, and the reorder from per-class ``[w_k, b_k]`` blocks to
+    the flat ``[W.ravel(), b]`` layout.  Read-only, so the cache can share them."""
+    m = d + 1
+    rows = np.arange(K * m)[:, None]
+    cols = rows // m * m + np.arange(m)
     starts = np.arange(K)[:, None] * m
     perm = np.concatenate([(starts + np.arange(d)).ravel(), starts.ravel() + d])
-    H = H_aug[np.ix_(perm, perm)]
-    H = 0.5 * (H + H.T)
-    return H + model.l2 * np.eye(P)
+    reorder = np.ix_(perm, perm)
+    for a in (rows, cols) + reorder:
+        a.flags.writeable = False
+    return (rows, cols), reorder
 
 
 def minibatch_sgd(model: Model, n: int, cfg, rng: np.random.Generator, epoch_grad,
@@ -256,21 +298,23 @@ def minibatch_sgd(model: Model, n: int, cfg, rng: np.random.Generator, epoch_gra
     once; it prepares that epoch's batches and returns ``batch_grad(model_at_theta,
     lo, hi)``, the gradient on the rows ``order[lo:hi]``.  Then step
     ``theta -= cfg.lr * batch_grad(...)`` over the ``cfg.batch_size`` slices of
-    ``order`` and record ``epoch_loss(model_at_theta)``.  Ascent closures return
-    the negated gradient.  Raises DomainError naming ``name`` once theta or the
-    loss is not finite."""
+    ``order`` and record ``epoch_loss(model_at_theta)``.  Both get the run's one
+    model, whose theta is stepped in place, so neither may keep it past the
+    call.  Ascent closures return the negated gradient.  Raises DomainError
+    naming ``name`` once theta or the loss is not finite."""
     theta = model.theta.copy()
+    model = model.with_theta(theta)  # this run's own model, stepped in place
     history: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
         batch_grad = epoch_grad(rng.permutation(n))
         for lo in range(0, n, cfg.batch_size):
-            theta = theta - cfg.lr * batch_grad(model.with_theta(theta), lo, lo + cfg.batch_size)
+            theta -= cfg.lr * batch_grad(model, lo, lo + cfg.batch_size)
             if not np.isfinite(theta).all():
                 raise DomainError(f"{name} diverged in epoch {epoch}: parameters are no longer finite")
-        history.append(epoch_loss(model.with_theta(theta)))
+        history.append(epoch_loss(model))
         if not np.isfinite(history[-1]):
             raise DomainError(f"{name} diverged in epoch {epoch}: loss is {history[-1]}")
-    return model.with_theta(theta), history
+    return model, history
 
 
 def sgd_train(model: Model, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,

@@ -49,8 +49,9 @@ def solve_damped(A: np.ndarray, b: np.ndarray, damping: float = 0.0) -> np.ndarr
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-shift; rows sum to 1 within 1e-12."""
     logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise DomainError("logits must be finite")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e

@@ -120,6 +120,11 @@ def mixed_grad(model: Model, Xr: np.ndarray, yr: np.ndarray,
     loss w.r.t. theta; the minus sign is gradient ascent on the forget term."""
     if not (0.0 <= p <= 1.0):
         raise DomainError("p must be in [0, 1]")
-    gr = models.grad(model, Xr, onehot(yr, model.K))
+    Xr = np.asarray(Xr, dtype=np.float64)
+    Yr = onehot(yr, model.K)
+    if Yr.shape[0] != Xr.shape[0]:
+        raise DimensionError(f"{Yr.shape[0]} retain labels for {Xr.shape[0]} retain rows")
+    # one-hot rows sum to 1 by construction: only the forget labels need _check_soft
+    gr = models._grad(model, Xr, Yr)
     gf = models.grad(model, Xf, soft_f)
     return p * gr - (1.0 - p) * gf

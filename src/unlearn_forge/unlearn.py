@@ -102,14 +102,15 @@ def random_label(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: Unle
     """Relabel the forget rows with uniformly random wrong labels, then
     descend on retain plus relabeled forget rows."""
     _require_retain(split)
+    idx = np.sort(np.concatenate([split.retain_idx, split.forget_idx]))
+    rows = ds.subset(idx)
     rng = rng_stream(cfg.seed, 3)
     y_new = ds.y.copy()
     # the r-th class other than y, for r uniform in [0, K-1)
     r = rng.integers(ds.K - 1, size=split.forget_idx.size)
     y_new[split.forget_idx] = r + (r >= ds.y[split.forget_idx])
-    idx = np.sort(np.concatenate([split.retain_idx, split.forget_idx]))
-    X, y = ds.X[idx], y_new[idx]
-    return _timed(lambda: models.sgd_train(model, X, y, cfg, rng))
+    y = y_new[idx]
+    return _timed(lambda: models.sgd_train(model, rows.X, y, cfg, rng))
 
 
 def influence_unlearn(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: UnlearnConfig) -> UnlearnResult:

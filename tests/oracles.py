@@ -5,6 +5,11 @@ in closed form or analytically: central finite differences for gradients,
 the dense per-row einsum for the logistic Hessian, projected gradient descent
 for the label-LDP prediction distribution, and the per-label and unmixed
 forms of the smoothed and gradient-mixed losses.
+
+The ``*_ref`` functions are the logistic kernels as they were written before
+their per-call cost was cut (fresh temporaries, ``concatenate``, ``hstack``,
+a per-class block loop, the full soft-label mask on every call): the shipped
+kernels must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -131,3 +136,95 @@ def mixed_loss(model: Model, Xr: np.ndarray, yr: np.ndarray,
     lr_ = models.ce_loss(model, Xr, onehot(yr, model.K))
     lf_ = models.ce_loss(model, Xf, soft_f)
     return p * lr_ - (1.0 - p) * lf_
+
+
+def softmax_rows_ref(logits: np.ndarray) -> np.ndarray:
+    logits = np.asarray(logits, dtype=np.float64)
+    if not np.all(np.isfinite(logits)):
+        raise DomainError("logits must be finite")
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def forward_ref(model: Model, X: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if model.kind == "logistic":
+        W, b = models._unpack_logistic(model)
+        return softmax_rows_ref(X @ W.T + b)
+    W1, b1, W2, b2 = models._unpack_mlp(model)
+    return softmax_rows_ref(np.tanh(X @ W1.T + b1) @ W2.T + b2)
+
+
+def check_soft_ref(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
+    soft = np.asarray(soft, dtype=np.float64)
+    if soft.shape != (X.shape[0], model.K):
+        raise DimensionError(f"soft labels have shape {soft.shape}, expected ({X.shape[0]}, {model.K})")
+    sums = soft.sum(axis=1)
+    bad = ~((np.abs(sums - 1.0) <= 1e-9 + 1e-5) | (np.abs(sums) <= 1e-12))
+    if np.any(bad):
+        raise DomainError("soft label rows must sum to 1 (or be all zero)")
+    return soft
+
+
+def ce_loss_ref(model: Model, X: np.ndarray, soft: np.ndarray) -> float:
+    X = np.asarray(X, dtype=np.float64)
+    soft = check_soft_ref(model, X, soft)
+    p = forward_ref(model, X)
+    logp = np.log(np.maximum(p, 1e-300))
+    data = -np.mean(np.sum(soft * logp, axis=1)) if X.shape[0] else 0.0
+    return float(data + 0.5 * model.l2 * np.dot(model.theta, model.theta))
+
+
+def grad_ref(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    soft = check_soft_ref(model, X, soft)
+    n = X.shape[0]
+    if n == 0:
+        return model.l2 * model.theta.copy()
+    p = forward_ref(model, X)
+    S = soft.sum(axis=1, keepdims=True)
+    dlogits = (p * S - soft) / n
+    if model.kind == "logistic":
+        gW = dlogits.T @ X
+        gb = dlogits.sum(axis=0)
+        return np.concatenate([gW.ravel(), gb]) + model.l2 * model.theta
+    W1, b1, W2, b2 = models._unpack_mlp(model)
+    A = np.tanh(X @ W1.T + b1)
+    gW2 = dlogits.T @ A
+    gb2 = dlogits.sum(axis=0)
+    dA = dlogits @ W2
+    dZ = dA * (1.0 - A * A)
+    gW1 = dZ.T @ X
+    gb1 = dZ.sum(axis=0)
+    return np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2]) + model.l2 * model.theta
+
+
+def hessian_ref(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    soft = check_soft_ref(model, X, soft)
+    n, d, K = X.shape[0], model.d, model.K
+    P = n_params("logistic", d, K)
+    if n == 0:
+        return model.l2 * np.eye(P)
+    p = forward_ref(model, X)
+    S = soft.sum(axis=1)
+    Xt = np.hstack([X, np.ones((n, 1))])
+    m = d + 1
+    gram = np.zeros((K * m, K * m))
+    blocks = np.zeros((K * m, m))
+    for lo in range(0, n, models.HESSIAN_CHUNK_ROWS):
+        rows = slice(lo, lo + models.HESSIAN_CHUNK_ROWS)
+        B = (p[rows, :, None] * Xt[rows, None, :]).reshape(-1, K * m)
+        SB = S[rows, None] * B
+        gram += SB.T @ B
+        blocks += SB.T @ Xt[rows]
+    H_aug = -gram
+    for k in range(K):
+        H_aug[k * m:(k + 1) * m, k * m:(k + 1) * m] += blocks[k * m:(k + 1) * m]
+    H_aug /= n
+    starts = np.arange(K)[:, None] * m
+    perm = np.concatenate([(starts + np.arange(d)).ravel(), starts.ravel() + d])
+    H = H_aug[np.ix_(perm, perm)]
+    H = 0.5 * (H + H.T)
+    return H + model.l2 * np.eye(P)

@@ -1,6 +1,12 @@
 import json
+import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unlearn_forge import cli, data, experiment, models
 from unlearn_forge.config import default_config, parse_config, parse_seeds
@@ -49,6 +55,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_seeds("a,b")
 
+    @pytest.mark.parametrize("key, value", [
+        ("unlearn.p", "2"), ("unlearn.p", "-0.5"), ("smooth.beta", "1.5"), ("smooth.beta", "-0.1"),
+        ("split.fraction", "1.5"), ("split.fraction", "1"), ("split.fraction", "0"),
+        ("smooth.alpha", "1.5"), ("unlearn.damping", "-1e-3"), ("theory.damping", "-1e-3")])
+    def test_value_outside_its_range_names_line_and_key(self, tmp_path, key, value):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"data.k = 3\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"line 2: key '{key}': .* is outside"):
+            parse_config(p)
+
+    def test_range_bounds_accepted(self, tmp_path):
+        p = tmp_path / "edge.cfg"
+        p.write_text("unlearn.p = 0\nsmooth.beta = 1\nsplit.fraction = 1e-9\nsmooth.alpha = 1\n"
+                     "unlearn.damping = 0\ntheory.damping = 0\n")
+        cfg = parse_config(p)
+        assert (cfg["unlearn.p"], cfg["smooth.beta"], cfg["smooth.alpha"]) == (0.0, 1.0, 1.0)
+        assert (cfg["split.fraction"], cfg["unlearn.damping"], cfg["theory.damping"]) == (1e-9, 0.0, 0.0)
+
     def test_minimum_values_accepted(self, tmp_path):
         p = tmp_path / "min.cfg"
         p.write_text("train.batch_size = 1\nunlearn.batch_size = 1\ntrain.epochs = 0\n"
@@ -88,6 +112,58 @@ class TestModelFile:
         p.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ConfigError):
             load_model(p)
+
+    @pytest.mark.parametrize("line, value", [("theta", "nan"), ("theta", "-inf"), ("l2", "inf"),
+                                             ("l2", "nan")])
+    def test_non_finite_value_rejected(self, tmp_path, line, value):
+        p = tmp_path / "m.model"
+        save_model(models.init_model("logistic", 2, 2), p)
+        lines = p.read_text().splitlines()
+        at = len(lines) - 1 if line == "theta" else lines.index("l2 0.01")
+        lines[at] = value if line == "theta" else f"l2 {value}"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(str(p)) + ".*not finite"):
+            load_model(p)
+
+    def test_cut_inside_last_parameter_rejected(self, tmp_path, rng):
+        p = tmp_path / "m.model"
+        save_model(models.init_model("logistic", 2, 2).with_theta(rng.standard_normal(6)), p)
+        p.write_text(p.read_text()[:-5])
+        with pytest.raises(ConfigError, match=re.escape(str(p)) + ".*truncated"):
+            load_model(p)
+
+    def test_non_finite_theta_exit_2(self, tmp_path, capsys):
+        cfgp = write_cfg(tmp_path)
+        p = tmp_path / "m.model"
+        assert cli.main(["train", "--config", cfgp, "--out", str(p)]) == 0
+        lines = p.read_text().splitlines()
+        lines[7] = "nan"
+        p.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["unlearn", "--config", cfgp, "--model", str(p), "--method", "ft"]) == 2
+        assert "parameter 0 is nan" in capsys.readouterr().err
+
+    @given(kind=st.sampled_from(["logistic", "mlp"]), d=st.integers(1, 4), K=st.integers(2, 4),
+           hidden=st.integers(1, 3), l2=st.floats(min_value=0.0, allow_infinity=False),
+           drawn=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_and_every_cut_is_typed(self, kind, d, K, hidden, l2, drawn):
+        size = models.n_params(kind, d, K, hidden)
+        theta = np.array(drawn.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                            min_size=size, max_size=size)))
+        m = models.Model(kind=kind, theta=theta, d=d, K=K, l2=l2,
+                         hidden=hidden if kind == "mlp" else 0)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "h.model"
+            save_model(m, p)
+            back = load_model(p)
+            assert back.theta.tobytes() == m.theta.tobytes()
+            assert (back.kind, back.d, back.K, back.hidden) == (m.kind, m.d, m.K, m.hidden)
+            assert back.l2 == m.l2
+            text = p.read_text()
+            p.write_text(text[:drawn.draw(st.integers(0, len(text) - 1))])
+            with pytest.raises(ConfigError):
+                load_model(p)
 
 
 def write_cfg(tmp_path, extra=""):
@@ -228,7 +304,9 @@ class TestConfigErrors:
     @pytest.mark.parametrize("key, value", [
         ("train.batch_size", "0"), ("unlearn.batch_size", "0"), ("train.epochs", "-1"),
         ("unlearn.epochs", "-1"), ("train.lr", "-0.1"), ("unlearn.lr", "nan"),
-        ("data.test_per_class", "1")])
+        ("data.test_per_class", "1"), ("unlearn.p", "2"), ("smooth.beta", "1.5"),
+        ("split.fraction", "1.5"), ("smooth.alpha", "1.5"), ("unlearn.damping", "-1"),
+        ("theory.damping", "-1")])
     def test_out_of_range_value_exit_2(self, tmp_path, capsys, key, value):
         cfgp = write_cfg(tmp_path, f"{key} = {value}\n")
         assert cli.main(["unlearn", "--config", cfgp, "--method", "ga"]) == 2

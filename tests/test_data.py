@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unlearn_forge import data
-from unlearn_forge.errors import DomainError, StratificationError
+from unlearn_forge.errors import DimensionError, DomainError, StratificationError
 from unlearn_forge.numcore import rng_stream
 
 
@@ -141,6 +141,21 @@ class TestForgetSplitInvariants:
     def test_negative_or_repeated_index_rejected(self, retain, forget):
         with pytest.raises(DomainError):
             data.ForgetSplit(retain, forget)
+
+
+class TestSubset:
+    @pytest.mark.parametrize("idx, bad", [([0, 30, 2], 30), ([100], 100), ([3, -1], -1)])
+    def test_index_outside_rows_named(self, idx, bad):
+        ds = blobs(per_class=10)
+        with pytest.raises(DimensionError, match=f"row index {bad} outside a dataset of n = 30 rows"):
+            ds.subset(np.array(idx))
+
+    def test_rows_in_order(self):
+        ds = blobs(per_class=10)
+        sub = ds.subset(np.array([29, 0, 7]))
+        assert sub.X.tobytes() == ds.X[[29, 0, 7]].tobytes()
+        assert sub.y.tolist() == ds.y[[29, 0, 7]].tolist()
+        assert ds.subset(np.array([], dtype=int)).n == 0
 
 
 class TestFileRoundTrip:

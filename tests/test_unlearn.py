@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_blobs
 from unlearn_forge import data, influence, models, smoothing, unlearn
-from unlearn_forge.errors import DomainError, UnsupportedModelError
+from unlearn_forge.errors import DimensionError, DomainError, UnsupportedModelError
 from unlearn_forge.models import TrainConfig, onehot
 from unlearn_forge.numcore import rng_stream
 from unlearn_forge.smoothing import SmoothingPolicy
@@ -214,6 +214,20 @@ class TestRunMethod:
         ds, split, trained = setup
         with pytest.raises(DomainError):
             UnlearnConfig(method="scrub")
+
+    def test_forget_index_past_rows_raises_dimension_error(self):
+        ds = make_blobs(seed=0, K=3, per_class=10, d=5)
+        split = data.ForgetSplit(np.arange(5), np.array([100]))
+        with pytest.raises(DimensionError, match="row index 100 outside a dataset of n = 30 rows"):
+            unlearn.run_method(models.init_model("logistic", 5, 3), ds, split, UnlearnConfig())
+
+    @pytest.mark.parametrize("method", unlearn.METHODS)
+    def test_split_past_rows_raises_before_any_step(self, method):
+        ds = make_blobs(seed=0, K=3, per_class=10, d=5)
+        split = data.ForgetSplit(np.array([0, 1, 2, 3, 4, 200]), np.array([5, 100]))
+        with pytest.raises(DimensionError, match="outside a dataset of n = 30 rows"):
+            unlearn.run_method(models.init_model("logistic", 5, 3), ds, split,
+                               UnlearnConfig(method=method, epochs=2))
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
