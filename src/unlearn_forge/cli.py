@@ -1,9 +1,9 @@
 """Command-line harness: parses arguments, runs the ``experiment`` functions
 and prints or writes their reports.
 
-Subcommands: gen-data, train, unlearn, benchmark, verify-theory, ldp.
-Shared flags: --config PATH, --seed N, --seeds N..M, --jobs N, --out PATH,
---format {table|machine}.  Log level via UNLEARN_FORGE_LOG.
+Subcommands: gen-data, train, unlearn, benchmark, verify-theory, ldp.  Each
+takes only the flags it reads, as ``COMMANDS`` lists them; any other flag is
+a usage error (exit 2).  Log level via UNLEARN_FORGE_LOG.
 
 Exit codes: 0 success, 2 config error, 3 domain error, 4 solver error.
 
@@ -78,15 +78,6 @@ def _write_or_print(text: str, out: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="run configuration file")
-    p.add_argument("--seed", type=int, help="single seed (overrides config)")
-    p.add_argument("--seeds", help="seed list, e.g. 0,1,2 or 0..4")
-    p.add_argument("--jobs", type=int, default=1, help="parallel (method, seed) cells")
-    p.add_argument("--out", help="output path (defaults to stdout)")
-    p.add_argument("--format", choices=["table", "machine"], default="table")
 
 
 def _load_cfg(args) -> dict:
@@ -180,43 +171,49 @@ def cmd_ldp(args) -> int:
     return 0
 
 
+# every flag a subcommand may take, with its argparse keywords
+FLAGS: dict[str, dict] = {
+    "--config": {"help": "run configuration file"},
+    "--seed": {"type": int, "help": "the one seed to run (overrides config)"},
+    "--seeds": {"help": "seed list, e.g. 3, 0,1,5 or 2..5 (overrides config)"},
+    "--jobs": {"type": int, "default": 1, "help": "parallel (method, seed) cells"},
+    "--out": {"help": "output file"},
+    "--format": {"choices": ["table", "machine"], "default": "table"},
+    "--model": {"help": "trained model file (otherwise trains from config)"},
+    "--method": {"choices": unlearn.METHODS, "help": "method (default: first configured)"},
+    "--k": {"type": int, "required": True},
+    "--alpha": {"type": float, "required": True},
+    "--gamma1": {"type": float, "required": True},
+    "--gamma2": {"type": float, "required": True},
+}
+
+# subcommand -> (handler, help, the flags it reads)
+COMMANDS = {
+    "gen-data": (cmd_gen_data, "generate a synthetic dataset CSV", ("--config", "--out")),
+    "train": (cmd_train, "train the original model and save it", ("--config", "--out")),
+    "unlearn": (cmd_unlearn, "run one unlearning method",
+                ("--config", "--seed", "--out", "--model", "--method")),
+    "benchmark": (cmd_benchmark, "run all configured methods and report the table",
+                  ("--config", "--seeds", "--jobs", "--out", "--format")),
+    "verify-theory": (cmd_verify_theory, "numerically verify the unlearning theorems",
+                      ("--config", "--out", "--format")),
+    "ldp": (cmd_ldp, "label-LDP epsilon calculator",
+            ("--k", "--alpha", "--gamma1", "--gamma2", "--out", "--format")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="unlearn-forge",
                                      description="Machine unlearning toolkit with smoothed-label "
                                                  "gradient methods, theory verifiers, and metrics")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
-    _add_common(p)
-    p.set_defaults(fn=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train the original model and save it")
-    _add_common(p)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("unlearn", help="run one unlearning method")
-    _add_common(p)
-    p.add_argument("--model", help="trained model file (otherwise trains from config)")
-    p.add_argument("--method", choices=unlearn.METHODS, help="method (default: first configured)")
-    p.set_defaults(fn=cmd_unlearn)
-
-    p = sub.add_parser("benchmark", help="run all configured methods and report the table")
-    _add_common(p)
-    p.set_defaults(fn=cmd_benchmark)
-
-    p = sub.add_parser("verify-theory", help="numerically verify the unlearning theorems")
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify_theory)
-
-    p = sub.add_parser("ldp", help="label-LDP epsilon calculator")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--gamma1", type=float, required=True)
-    p.add_argument("--gamma2", type=float, required=True)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["table", "machine"], default="table")
-    p.set_defaults(fn=cmd_ldp)
+    for name, (fn, help_text, flags) in COMMANDS.items():
+        # no abbreviations: --seed must not pass for --seeds
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(fn=fn)
     return parser
 
 

@@ -14,25 +14,25 @@ from .errors import ConfigError
 # Each key has one domain, whatever the mode or paradigm that reads it.
 SCHEMA: dict[str, tuple[type, object, str | None]] = {
     "data.file": (str, "", None),
-    "data.k": (int, 3, None),
-    "data.per_class": (int, 100, None),
+    "data.k": (int, 3, "[2, inf)"),
+    "data.per_class": (int, 100, "[2, inf)"),
     "data.dim": (int, 5, None),
-    "data.spread": (float, 1.0, None),
-    "data.subgroups": (int, 2, None),
-    "data.seed": (int, 0, None),
+    "data.spread": (float, 1.0, "[0, inf)"),
+    "data.subgroups": (int, 2, "[1, inf)"),
+    "data.seed": (int, 0, "[0, inf)"),
     "data.test_per_class": (int, 100, "[2, inf)"),
     "split.paradigm": (str, "classwise", None),
     "split.class": (int, 0, None),
     "split.fraction": (float, 0.1, "(0, 1)"),
     "split.groups": (str, "", None),
-    "split.seed": (int, 0, None),
+    "split.seed": (int, 0, "[0, inf)"),
     "model.kind": (str, "logistic", None),
     "model.hidden": (int, 16, None),
-    "model.l2": (float, 1e-2, None),
+    "model.l2": (float, 1e-2, "[0, inf)"),
     "train.epochs": (int, 60, "[0, inf)"),
     "train.batch_size": (int, 32, "[1, inf)"),
     "train.lr": (float, 0.1, "[0, inf)"),
-    "train.seed": (int, 0, None),
+    "train.seed": (int, 0, "[0, inf)"),
     "unlearn.methods": (str, "retrain,ft,ga,rl,iu,ugradsl,ugradsl_plus", None),
     "unlearn.epochs": (int, 10, "[0, inf)"),
     "unlearn.lr": (float, 0.01, "[0, inf)"),
@@ -42,11 +42,11 @@ SCHEMA: dict[str, tuple[type, object, str | None]] = {
     "smooth.mode": (str, "adaptive", None),
     "smooth.alpha": (float, -0.5, "(-inf, 1]"),
     "smooth.beta": (float, 0.9, "[0, 1]"),
-    "theory.instances": (int, 20, None),
+    "theory.instances": (int, 20, "[1, inf)"),
     "theory.damping": (float, 1e-3, "[0, inf)"),
-    "theory.alpha_grid_min": (float, -5.0, None),
-    "theory.alpha_grid_points": (int, 201, None),
-    "theory.seed": (int, 0, None),
+    "theory.alpha_grid_min": (float, -5.0, "(-inf, 0)"),
+    "theory.alpha_grid_points": (int, 201, "[1, inf)"),
+    "theory.seed": (int, 0, "[0, inf)"),
     "seeds": (str, "0", None),
 }
 
@@ -92,7 +92,8 @@ def parse_config(path) -> dict:
 
 
 def parse_seeds(spec: str) -> list[int]:
-    """Seed list: '3', '0,1,2', or inclusive range '0..4'; at least one seed."""
+    """Seed list: '3', '0,1,2', or inclusive range '0..4'; at least one seed,
+    none negative."""
     spec = spec.strip()
     try:
         if ".." in spec:
@@ -104,4 +105,6 @@ def parse_seeds(spec: str) -> list[int]:
         raise ConfigError(f"bad seed list {spec!r}: {exc}") from exc
     if not seeds:
         raise ConfigError(f"seed list {spec!r} names no seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"seed list {spec!r} names a negative seed")
     return seeds

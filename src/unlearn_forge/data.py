@@ -141,16 +141,17 @@ def split_group(ds: LabeledDataset, group_ids) -> ForgetSplit:
 
 def save_dataset(ds: LabeledDataset, path) -> None:
     """CSV with header f0..f{d-1},label[,group]; 17 significant digits."""
+    cols = [f"f{i}" for i in range(ds.d)] + ["label"]
+    ids = [ds.y]
+    if ds.groups is not None:
+        cols.append("group")
+        ids.append(ds.groups)
+    fmt = ",".join([CSV_FLOAT_FMT] * ds.d + ["%d"] * len(ids)) + "\n"
     with open(path, "w") as fh:
-        cols = [f"f{i}" for i in range(ds.d)] + ["label"]
-        if ds.groups is not None:
-            cols.append("group")
         fh.write(",".join(cols) + "\n")
-        for i in range(ds.n):
-            row = [CSV_FLOAT_FMT % v for v in ds.X[i]] + [str(int(ds.y[i]))]
-            if ds.groups is not None:
-                row.append(str(int(ds.groups[i])))
-            fh.write(",".join(row) + "\n")
+        # one row at a time: a whole-array tolist() would hold every value as a Python float
+        for x, *row_ids in zip(ds.X, *ids):
+            fh.write(fmt % (*x.tolist(), *row_ids))
 
 
 def load_dataset(path, K: int | None = None) -> LabeledDataset:

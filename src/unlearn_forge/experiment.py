@@ -126,13 +126,17 @@ def _mean_report(summary: dict) -> metrics.MetricsReport:
 
 def run_benchmark(cfg: dict, seeds: list[int], jobs: int = 1) -> dict:
     """All configured methods over all seeds, with retrain as the gap reference."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     names = methods(cfg)
     ds, test = build_datasets(cfg)
     split, eval_test = build_split(cfg, ds, test)
     model = train_original(cfg, ds)
     tasks = [(cfg, m, s, ds, eval_test, split, model) for m in names for s in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+    # the pool forks all its workers at the first submit, so no more than there are cells
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             cells = list(ex.map(_bench_cell, tasks))
     else:
         cells = [_bench_cell(t) for t in tasks]
@@ -160,8 +164,6 @@ def run_benchmark(cfg: dict, seeds: list[int], jobs: int = 1) -> dict:
 def run_verify_theory(cfg: dict) -> dict:
     """Theorem checks over seeded convex instances."""
     n_inst = cfg["theory.instances"]
-    if n_inst < 1:
-        raise ConfigError("theory.instances must be >= 1")
     grid = np.linspace(cfg["theory.alpha_grid_min"], -1e-6, cfg["theory.alpha_grid_points"])
     rows = []
     for i in range(n_inst):

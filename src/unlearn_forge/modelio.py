@@ -51,6 +51,8 @@ def load_model(path) -> Model:
         raise ConfigError(f"model file {path}: parameter count mismatch")
     if not np.isfinite(l2):
         raise ConfigError(f"model file {path}: l2 is {l2}, not finite")
+    if l2 < 0:
+        raise ConfigError(f"model file {path}: l2 is {l2}, negative")
     if not np.isfinite(theta).all():
         i = int(np.argmin(np.isfinite(theta)))
         raise ConfigError(f"model file {path}: parameter {i} is {theta[i]}, not finite")

@@ -60,6 +60,8 @@ class Model:
             raise DomainError(f"unknown model kind {self.kind!r}")
         if self.K < 2:
             raise DomainError("need at least 2 classes")
+        if not 0 <= self.l2 < np.inf:  # false for nan too
+            raise DomainError(f"l2 is {self.l2}, not a finite value >= 0")
         expected = n_params(self.kind, self.d, self.K, self.hidden)
         if self.theta.shape != (expected,):
             raise DimensionError(f"theta has shape {self.theta.shape}, expected ({expected},)")

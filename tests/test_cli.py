@@ -55,10 +55,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_seeds("a,b")
 
+    @pytest.mark.parametrize("spec", ["-1", "-3..2", "0,-1"])
+    def test_negative_seed_rejected(self, spec):
+        with pytest.raises(ConfigError, match="negative seed"):
+            parse_seeds(spec)
+
     @pytest.mark.parametrize("key, value", [
         ("unlearn.p", "2"), ("unlearn.p", "-0.5"), ("smooth.beta", "1.5"), ("smooth.beta", "-0.1"),
         ("split.fraction", "1.5"), ("split.fraction", "1"), ("split.fraction", "0"),
-        ("smooth.alpha", "1.5"), ("unlearn.damping", "-1e-3"), ("theory.damping", "-1e-3")])
+        ("smooth.alpha", "1.5"), ("unlearn.damping", "-1e-3"), ("theory.damping", "-1e-3"),
+        ("model.l2", "-5"), ("data.seed", "-2"), ("split.seed", "-1"), ("train.seed", "-1"),
+        ("theory.seed", "-1"), ("theory.instances", "0"), ("theory.alpha_grid_points", "0"),
+        ("theory.alpha_grid_min", "0"), ("data.k", "1"), ("data.per_class", "1"),
+        ("data.subgroups", "0"), ("data.spread", "-0.5")])
     def test_value_outside_its_range_names_line_and_key(self, tmp_path, key, value):
         p = tmp_path / "bad.cfg"
         p.write_text(f"data.k = 3\n{key} = {value}\n")
@@ -76,9 +85,17 @@ class TestConfig:
     def test_minimum_values_accepted(self, tmp_path):
         p = tmp_path / "min.cfg"
         p.write_text("train.batch_size = 1\nunlearn.batch_size = 1\ntrain.epochs = 0\n"
-                     "unlearn.epochs = 0\ntrain.lr = 0\nunlearn.lr = 0\ndata.test_per_class = 2\n")
+                     "unlearn.epochs = 0\ntrain.lr = 0\nunlearn.lr = 0\ndata.test_per_class = 2\n"
+                     "model.l2 = 0\ndata.seed = 0\nsplit.seed = 0\ntrain.seed = 0\ntheory.seed = 0\n"
+                     "theory.instances = 1\ntheory.alpha_grid_points = 1\n"
+                     "theory.alpha_grid_min = -5e-324\ndata.k = 2\ndata.per_class = 2\n"
+                     "data.subgroups = 1\ndata.spread = 0\n")
         cfg = parse_config(p)
         assert (cfg["train.batch_size"], cfg["unlearn.epochs"], cfg["data.test_per_class"]) == (1, 0, 2)
+        assert (cfg["model.l2"], cfg["theory.seed"], cfg["theory.instances"]) == (0.0, 0, 1)
+        assert (cfg["theory.alpha_grid_points"], cfg["theory.alpha_grid_min"]) == (1, -5e-324)
+        assert (cfg["data.k"], cfg["data.per_class"], cfg["data.subgroups"]) == (2, 2, 1)
+        assert cfg["data.spread"] == 0.0
 
     def test_format_roundtrip(self, tmp_path):
         cfg = default_config()
@@ -123,6 +140,13 @@ class TestModelFile:
         lines[at] = value if line == "theta" else f"l2 {value}"
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match=re.escape(str(p)) + ".*not finite"):
+            load_model(p)
+
+    def test_negative_l2_rejected(self, tmp_path):
+        p = tmp_path / "m.model"
+        save_model(models.init_model("logistic", 2, 2), p)
+        p.write_text(p.read_text().replace("l2 0.01\n", "l2 -1\n"))
+        with pytest.raises(ConfigError, match=re.escape(str(p)) + ".*negative"):
             load_model(p)
 
     def test_cut_inside_last_parameter_rejected(self, tmp_path, rng):
@@ -306,7 +330,10 @@ class TestConfigErrors:
         ("unlearn.epochs", "-1"), ("train.lr", "-0.1"), ("unlearn.lr", "nan"),
         ("data.test_per_class", "1"), ("unlearn.p", "2"), ("smooth.beta", "1.5"),
         ("split.fraction", "1.5"), ("smooth.alpha", "1.5"), ("unlearn.damping", "-1"),
-        ("theory.damping", "-1")])
+        ("theory.damping", "-1"), ("model.l2", "-5"), ("data.seed", "-2"), ("split.seed", "-1"),
+        ("train.seed", "-1"), ("theory.seed", "-1"), ("theory.instances", "0"),
+        ("theory.alpha_grid_points", "0"), ("theory.alpha_grid_min", "0"), ("data.k", "1"),
+        ("data.per_class", "1"), ("data.subgroups", "0"), ("data.spread", "-0.5")])
     def test_out_of_range_value_exit_2(self, tmp_path, capsys, key, value):
         cfgp = write_cfg(tmp_path, f"{key} = {value}\n")
         assert cli.main(["unlearn", "--config", cfgp, "--method", "ga"]) == 2
@@ -323,8 +350,31 @@ class TestConfigErrors:
 class TestInputErrors:
     @pytest.mark.parametrize("command", ["unlearn", "benchmark"])
     def test_empty_seed_list_exit_2(self, tmp_path, capsys, command):
-        assert cli.main([command, "--config", write_cfg(tmp_path), "--seeds", ","]) == 2
+        # unlearn runs one seed and takes no --seeds, so its list comes from the config
+        if command == "unlearn":
+            argv = ["unlearn", "--config", write_cfg(tmp_path, "seeds = ,\n")]
+        else:
+            argv = ["benchmark", "--config", write_cfg(tmp_path), "--seeds", ","]
+        assert cli.main(argv) == 2
         assert "names no seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["benchmark", "--seeds=-1"], ["benchmark", "--seeds=-3..2"],
+                                      ["unlearn", "--seed", "-1", "--method", "ga"]])
+    def test_negative_seed_exit_2_before_work(self, tmp_path, capsys, monkeypatch, argv):
+        def fail(*_):
+            raise AssertionError("called before the seed list was checked")
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "build_datasets", fail)
+        assert cli.main(argv + ["--config", write_cfg(tmp_path)]) == 2
+        assert "negative seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_2_before_work(self, tmp_path, capsys, monkeypatch, jobs):
+        def fail(*_):
+            raise AssertionError("called before --jobs was checked")
+        monkeypatch.setattr(experiment, "build_datasets", fail)
+        assert cli.main(["benchmark", "--config", write_cfg(tmp_path), "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, message", [
         ("data.dim = 0", "d >= 1"), ("data.dim = -1", "d >= 1"),
@@ -347,3 +397,52 @@ class TestInputErrors:
         assert code == 2
         assert captured.out == ""
         assert "(5, 4)" in captured.err and "(5, 3)" in captured.err
+
+
+# the whole command-line surface: each subcommand and the flags it reads
+SURFACE = {
+    "gen-data": {"--config", "--out"},
+    "train": {"--config", "--out"},
+    "unlearn": {"--config", "--seed", "--out", "--model", "--method"},
+    "benchmark": {"--config", "--seeds", "--jobs", "--out", "--format"},
+    "verify-theory": {"--config", "--out", "--format"},
+    "ldp": {"--k", "--alpha", "--gamma1", "--gamma2", "--out", "--format"},
+}
+# a value each flag accepts, so only the flag's presence can fail the parse
+FLAG_VALUES = {"--config": "run.cfg", "--seed": "0", "--seeds": "0", "--jobs": "1",
+               "--out": "out.txt", "--format": "table", "--model": "m.model", "--method": "ga",
+               "--k": "10", "--alpha": "-1", "--gamma1": "2", "--gamma2": "1"}
+LDP_ARGS = ["--k", "10", "--alpha", "-1", "--gamma1", "2", "--gamma2", "1"]
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+class TestFlagTable:
+    def test_table_is_the_surface(self):
+        assert {cmd: set(flags) for cmd, (_, _, flags) in cli.COMMANDS.items()} == SURFACE
+        assert sum(map(len, SURFACE.values())) == 23
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c in SURFACE for f in FLAG_VALUES
+                                               if f not in SURFACE[c]])
+    def test_flag_outside_the_table_exit_2(self, capsys, command, flag):
+        base = LDP_ARGS if command == "ldp" else []
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *base, flag, FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", SURFACE)
+    def test_help_lists_exactly_the_table_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        assert set(FLAG_RE.findall(capsys.readouterr().out)) == SURFACE[command] | {"--help"}
+
+    def test_readme_synopsis_names_each_table_flag(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        synopsis = {}
+        for line in block.replace("\\\n", " ").splitlines():
+            _, command, *rest = line.split()
+            assert command not in synopsis, f"two synopsis lines for {command}"
+            synopsis[command] = set(FLAG_RE.findall(" ".join(rest)))
+        assert synopsis == {cmd: set(flags) for cmd, (_, _, flags) in cli.COMMANDS.items()}

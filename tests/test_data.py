@@ -168,6 +168,20 @@ class TestFileRoundTrip:
         assert np.array_equal(back.y, ds.y)
         assert np.array_equal(back.groups, ds.groups)
 
+    @pytest.mark.parametrize("groups, text", [
+        (None, "f0,f1,label\n0.10000000000000001,-0,0\n"
+               "1.0000000000000001e+300,4.9406564584124654e-324,1\n-2.5,1,1\n"),
+        ([7, 12345, 0], "f0,f1,label,group\n0.10000000000000001,-0,0,7\n"
+                        "1.0000000000000001e+300,4.9406564584124654e-324,1,12345\n-2.5,1,1,0\n")],
+        ids=["no-group", "group"])
+    def test_exact_text(self, tmp_path, groups, text):
+        X = np.array([[0.1, -0.0], [1e300, 5e-324], [-2.5, 1.0]])
+        ds = data.LabeledDataset(X, np.array([0, 1, 1]), 2,
+                                 None if groups is None else np.array(groups))
+        path = tmp_path / "ds.csv"
+        data.save_dataset(ds, path)
+        assert path.read_bytes() == text.encode()
+
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\n0.5,3\n")

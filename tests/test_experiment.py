@@ -72,3 +72,31 @@ def test_retrain_cell_reruns_the_training_schedule():
     again, _ = experiment.run_cell({**cfg, "unlearn.epochs": 3, "unlearn.lr": 0.5}, "retrain", 2,
                                    ds, eval_test, split, model)
     assert again.model.theta.tobytes() == cell.model.theta.tobytes()
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, sizes", [(1, []), (3, [3]), (64, [4])])
+def test_pool_never_larger_than_the_cells(monkeypatch, jobs, sizes):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    cfg = {**default_config(), "data.per_class": 20, "data.test_per_class": 20,
+           "train.epochs": 3, "unlearn.methods": "ga,ft"}
+    report = experiment.run_benchmark(cfg, [0, 1], jobs=jobs)
+    assert SerialPool.sizes == sizes
+    assert len(report["cells"]) == 4

@@ -252,6 +252,11 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             Model(kind="tree", theta=np.zeros(6), d=2, K=2)
 
+    @pytest.mark.parametrize("l2", [-1.0, -1e-300, np.nan, np.inf])
+    def test_l2_must_be_finite_and_nonnegative(self, l2):
+        with pytest.raises(DomainError, match="l2 is"):
+            Model(kind="logistic", theta=np.zeros(6), d=2, K=2, l2=l2)
+
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     def test_with_theta_checks_shape_and_keeps_fields(self, kind):
         m = models.init_model(kind, 3, 2, l2=0.5, hidden=4)
