@@ -113,7 +113,11 @@ def cmd_train(args) -> int:
 def cmd_unlearn(args) -> int:
     cfg = _load_cfg(args)
     method = check_method(cfg, args.method, "--method") if args.method else methods(cfg)[0]
-    seed = parse_seeds(cfg["seeds"])[0]
+    seeds = parse_seeds(cfg["seeds"])
+    seed = seeds[0]
+    if len(seeds) > 1:
+        print(f"warning: seeds = {cfg['seeds']} names {len(seeds)} seeds and unlearn runs one, "
+              f"the first ({seed}); pick it with --seed", file=sys.stderr)
     ds, test = build_datasets(cfg)
     split, eval_test = build_split(cfg, ds, test)
     if args.model:
@@ -176,7 +180,8 @@ FLAGS: dict[str, dict] = {
     "--config": {"help": "run configuration file"},
     "--seed": {"type": int, "help": "the one seed to run (overrides config)"},
     "--seeds": {"help": "seed list, e.g. 3, 0,1,5 or 2..5 (overrides config)"},
-    "--jobs": {"type": int, "default": 1, "help": "parallel (method, seed) cells"},
+    "--jobs": {"type": int, "default": 1,
+               "help": "parallel processes, one (method, seed group) run each"},
     "--out": {"help": "output file"},
     "--format": {"choices": ["table", "machine"], "default": "table"},
     "--model": {"help": "trained model file (otherwise trains from config)"},

@@ -1,10 +1,13 @@
 """Flat ``key = value`` run configuration with dotted sections.
 
 Unknown keys are rejected with the offending line named; command-line flags
-override file values.  The full schema with defaults is in ``SCHEMA``.
+override file values.  The full schema with defaults is in ``SCHEMA``.  A
+config dict built in code gets the same checks from ``validate``.
 """
 
 from __future__ import annotations
+
+from numbers import Integral, Real
 
 from .errors import ConfigError
 
@@ -63,15 +66,40 @@ def _in_domain(value, domain: str) -> bool:
     return above and below
 
 
+def _check_domain(key: str, value, where: str = "") -> None:
+    domain = SCHEMA[key][2]
+    if domain is not None and not _in_domain(value, domain):
+        raise ConfigError(f"{where}key {key!r}: {value} is outside {domain}")
+
+
 def _coerce(key: str, raw: str, lineno: int):
-    typ, _, domain = SCHEMA[key]
     try:
-        value = typ(raw)
+        value = SCHEMA[key][0](raw)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from exc
-    if domain is not None and not _in_domain(value, domain):
-        raise ConfigError(f"line {lineno}: key {key!r}: {value} is outside {domain}")
+    _check_domain(key, value, f"line {lineno}: ")
     return value
+
+
+# the values each schema type accepts in a config dict built in code
+_ACCEPTS = {int: Integral, float: Real, str: str}
+
+
+def validate(cfg: dict) -> dict:
+    """``cfg``, once it holds every key of ``SCHEMA`` and no other, each
+    value of its key's type and inside its domain; a ConfigError names the
+    first key that does not."""
+    for key, value in cfg.items():
+        if key not in SCHEMA:
+            raise ConfigError(f"unknown key {key!r}")
+        typ = SCHEMA[key][0]
+        if isinstance(value, bool) or not isinstance(value, _ACCEPTS[typ]):
+            raise ConfigError(f"key {key!r}: {value!r} is not of type {typ.__name__}")
+        _check_domain(key, value)
+    missing = [key for key in SCHEMA if key not in cfg]
+    if missing:
+        raise ConfigError(f"missing key {missing[0]!r}")
+    return cfg
 
 
 def parse_config(path) -> dict:

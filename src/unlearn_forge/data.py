@@ -7,6 +7,7 @@ optional per-row integer group ids (class ``c`` subgroup ``s`` gets id
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, StratificationError
 
 CSV_FLOAT_FMT = "%.17g"
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -165,30 +167,59 @@ def load_dataset(path, K: int | None = None) -> LabeledDataset:
         d = len(cols) - (2 if has_group else 1)
         if cols[:d] != [f"f{i}" for i in range(d)] or cols[d] != "label":
             raise DomainError(f"malformed dataset header: {header!r}")
-        X_rows, y_rows, g_rows, linenos = [], [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            linenos.append(lineno)
-            parts = line.split(",")
-            if len(parts) != len(cols):
-                raise DomainError(f"line {lineno}: expected {len(cols)} fields, got {len(parts)}")
-            try:
-                X_rows.append([float(v) for v in parts[:d]])
-                y_rows.append(int(parts[d]))
-                if has_group:
-                    g_rows.append(int(parts[d + 1]))
-            except ValueError as exc:
-                raise DomainError(f"line {lineno}: {exc}") from exc
-    X = np.array(X_rows, dtype=np.float64).reshape(len(X_rows), d)
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise DomainError(f"line {linenos[int(np.argmin(finite))]}: non-finite feature value")
-    y = np.array(y_rows, dtype=np.int64)
+        start = fh.tell()
+        rows = _parse_rows(fh, d, has_group)
+        if rows is None:
+            fh.seek(start)
+            rows = _parse_rows_by_line(fh, d, has_group)
+    X, y, groups = rows
     if K is None:
         K = int(y.max()) + 1 if y.size else 2
     if y.size and y.max() >= K:
         raise DomainError(f"label {int(y.max())} >= K={K}")
-    groups = np.array(g_rows, dtype=np.int64) if has_group else None
     return LabeledDataset(X, y, K, groups)
+
+
+def _parse_rows(fh, d: int, has_group: bool):
+    """The rows after the header through numpy's C parser, as (X, y, groups);
+    None when it rejects a row or a feature is not finite, for
+    ``_parse_rows_by_line`` to name the line."""
+    fields = [("x", "f8", (d,)), ("y", "i8")] + ([("g", "i8")] if has_group else [])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no rows
+            rows = np.loadtxt(fh, dtype=fields, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    X = np.ascontiguousarray(rows["x"]).reshape(rows.size, d)
+    if not np.isfinite(X).all():
+        return None
+    return X, rows["y"].copy(), rows["g"].copy() if has_group else None
+
+
+def _parse_rows_by_line(fh, d: int, has_group: bool):
+    """``_parse_rows`` one line at a time, naming the line of the first bad
+    row."""
+    n_ids = 2 if has_group else 1
+    X_rows, id_rows, linenos = [], [], []
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        linenos.append(lineno)
+        parts = line.split(",")
+        if len(parts) != d + n_ids:
+            raise DomainError(f"line {lineno}: expected {d + n_ids} fields, got {len(parts)}")
+        try:
+            X_rows.append([float(v) for v in parts[:d]])
+            id_rows.append([int(v) for v in parts[d:]])
+        except ValueError as exc:
+            raise DomainError(f"line {lineno}: {exc}") from exc
+        if not all(_INT64_MIN <= v <= _INT64_MAX for v in id_rows[-1]):
+            raise DomainError(f"line {lineno}: label or group id outside the int64 range")
+    X = np.array(X_rows, dtype=np.float64).reshape(len(X_rows), d)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"line {linenos[int(np.argmin(finite))]}: non-finite feature value")
+    ids = np.array(id_rows, dtype=np.int64).reshape(len(id_rows), n_ids)
+    return X, ids[:, 0].copy(), ids[:, 1].copy() if has_group else None

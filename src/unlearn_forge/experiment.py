@@ -1,6 +1,12 @@
 """Experiment runners: datasets, forget splits and the original model built
-from a run configuration, one (method, seed) unlearning cell, the benchmark
-report over all configured methods and seeds, and the theory verifier."""
+from a run configuration, the (method, seed) unlearning cells, the benchmark
+report over all configured methods and seeds, and the theory verifier.
+
+The benchmark runs each method once per group of seeds, all the group's
+seeds stepped in lockstep (see ``unlearn``); every cell keeps the bits of its
+own single run, and its RTE is the group's wall-clock divided by the group's
+size.  ``--jobs`` spreads the (method, seed group) runs over processes.
+"""
 
 from __future__ import annotations
 
@@ -10,13 +16,20 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__, data, influence, metrics, models, unlearn
-from .errors import ConfigError
+from .config import validate
+from .errors import ConfigError, DomainError
 from .numcore import rng_stream
 from .smoothing import SmoothingPolicy
 
 # MetricsReport fields of a benchmark cell, and those its summary aggregates
 CELL_FIELDS = ("ua", "mia", "ra", "ta", "sum", "additional_mia")
 SUMMARY_FIELDS = CELL_FIELDS + ("rte_seconds",)
+# Float64 entries per lockstep group of seeds, counted as rows x (d + K) of
+# the training set per seed: the stacked per-epoch arrays of a method take
+# about that much per seed.  2**16 entries are 512 KiB; the default config
+# (300 rows, d + K = 8) fits 27 seeds per group, K = 10, 1000 rows per class
+# and d = 20 fit one.
+GROUP_ENTRIES = 2 ** 16
 # TheoryReport fields of one verify-theory row
 THEORY_FIELDS = ("dist_ga", "dist_noop", "inner", "ga_cannot_help", "condition_met",
                  "best_alpha", "dist_gls_at_best_alpha", "closed_form_alpha",
@@ -84,24 +97,45 @@ def check_method(cfg: dict, name: str, source: str) -> str:
     return name
 
 
-def run_cell(cfg: dict, method: str, seed: int, ds: data.LabeledDataset,
-             test: data.LabeledDataset, split: data.ForgetSplit,
-             model: models.Model) -> tuple[unlearn.UnlearnResult, metrics.MetricsReport]:
-    """Unlearn ``split`` from ``model`` with one method at one seed and
-    evaluate the result on the forget, retain and test sets."""
+def seed_groups(ds: data.LabeledDataset, seeds: list[int]) -> list[list[int]]:
+    """``seeds`` in order, cut into lockstep groups of at most
+    ``GROUP_ENTRIES`` stacked entries each (and at least one seed)."""
+    size = max(1, GROUP_ENTRIES // (ds.n * (ds.d + ds.K)))
+    return [seeds[i:i + size] for i in range(0, len(seeds), size)]
+
+
+def run_cells(cfg: dict, method: str, seeds: list[int], ds: data.LabeledDataset,
+              test: data.LabeledDataset, split: data.ForgetSplit,
+              model: models.Model) -> list[tuple[unlearn.UnlearnResult, metrics.MetricsReport]]:
+    """Unlearn ``split`` from ``model`` with one method at each of ``seeds``,
+    in lockstep, and evaluate each result on the forget, retain and test sets.
+
+    If the lockstep run raises DomainError, the seeds rerun one at a time, so
+    the error raised is the one the first failing seed raises alone."""
     policy = SmoothingPolicy(mode=cfg["smooth.mode"], alpha=cfg["smooth.alpha"],
                              beta=cfg["smooth.beta"])
     # retrain reruns the original training schedule; the others run the unlearning one
     sched = "train" if method == "retrain" else "unlearn"
     ucfg = unlearn.UnlearnConfig(method=method, epochs=cfg[f"{sched}.epochs"],
                                  lr=cfg[f"{sched}.lr"], p=cfg["unlearn.p"],
-                                 batch_size=cfg[f"{sched}.batch_size"], seed=seed,
+                                 batch_size=cfg[f"{sched}.batch_size"], seed=seeds[0],
                                  damping=cfg["unlearn.damping"], smoothing=policy)
-    result = unlearn.run_method(model, ds, split, ucfg)
-    report = metrics.evaluate(result.model, ds.subset(split.forget_idx),
-                              ds.subset(split.retain_idx), test,
-                              rte_seconds=result.rte_seconds, seed=seed)
-    return result, report
+    try:
+        results = unlearn.run_method(model, ds, split, ucfg, seeds)
+    except DomainError:
+        if len(seeds) == 1:
+            raise
+        return [run_cell(cfg, method, s, ds, test, split, model) for s in seeds]
+    forget, retain = ds.subset(split.forget_idx), ds.subset(split.retain_idx)
+    return [(r, metrics.evaluate(r.model, forget, retain, test, rte_seconds=r.rte_seconds, seed=s))
+            for s, r in zip(seeds, results)]
+
+
+def run_cell(cfg: dict, method: str, seed: int, ds: data.LabeledDataset,
+             test: data.LabeledDataset, split: data.ForgetSplit,
+             model: models.Model) -> tuple[unlearn.UnlearnResult, metrics.MetricsReport]:
+    """``run_cells`` at the one seed ``seed``."""
+    return run_cells(cfg, method, [seed], ds, test, split, model)[0]
 
 
 def cell_record(method: str, seed: int, report: metrics.MetricsReport) -> dict:
@@ -109,10 +143,11 @@ def cell_record(method: str, seed: int, report: metrics.MetricsReport) -> dict:
     return {"method": method, "seed": seed, **{f: getattr(report, f) for f in CELL_FIELDS}}
 
 
-def _bench_cell(task):
-    """One (method, seed) benchmark cell; module-level for multiprocessing."""
-    cfg, method, seed, *inputs = task
-    return method, seed, run_cell(cfg, method, seed, *inputs)[1]
+def _bench_group(task):
+    """The benchmark cells of one method at one group of seeds; module-level
+    for multiprocessing."""
+    cfg, method, seeds, *inputs = task
+    return [(method, s, report) for s, (_, report) in zip(seeds, run_cells(cfg, method, seeds, *inputs))]
 
 
 def _mean_std(vals: list[float]) -> tuple[float, float | None]:
@@ -126,20 +161,22 @@ def _mean_report(summary: dict) -> metrics.MetricsReport:
 
 def run_benchmark(cfg: dict, seeds: list[int], jobs: int = 1) -> dict:
     """All configured methods over all seeds, with retrain as the gap reference."""
+    validate(cfg)
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     names = methods(cfg)
     ds, test = build_datasets(cfg)
     split, eval_test = build_split(cfg, ds, test)
     model = train_original(cfg, ds)
-    tasks = [(cfg, m, s, ds, eval_test, split, model) for m in names for s in seeds]
-    # the pool forks all its workers at the first submit, so no more than there are cells
+    tasks = [(cfg, m, g, ds, eval_test, split, model) for m in names for g in seed_groups(ds, seeds)]
+    # the pool forks all its workers at the first submit, so no more than there are groups
     workers = min(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            cells = list(ex.map(_bench_cell, tasks))
+            groups = list(ex.map(_bench_group, tasks))
     else:
-        cells = [_bench_cell(t) for t in tasks]
+        groups = [_bench_group(t) for t in tasks]
+    cells = [cell for group in groups for cell in group]
     cells.sort(key=lambda c: (names.index(c[0]), c[1]))
 
     summary = {m: {f: _mean_std([getattr(r, f) for cm, _, r in cells if cm == m])
@@ -163,6 +200,7 @@ def run_benchmark(cfg: dict, seeds: list[int], jobs: int = 1) -> dict:
 
 def run_verify_theory(cfg: dict) -> dict:
     """Theorem checks over seeded convex instances."""
+    validate(cfg)
     n_inst = cfg["theory.instances"]
     grid = np.linspace(cfg["theory.alpha_grid_min"], -1e-6, cfg["theory.alpha_grid_points"])
     rows = []

@@ -12,10 +12,17 @@ batch plus ``l2/2 * ||theta||^2``.  Soft-label rows must sum to 1 but entries
 may be negative (negative label smoothing).
 
 ``minibatch_sgd`` is the one minibatch loop behind ``sgd_train`` and every
-iterative unlearning method.  Each caller prepares an epoch's batches once,
-from that epoch's shuffled order, and the loop then steps through them with
-only the parameter-dependent gradient left per step.  The loop owns one
-``Model`` per run and steps its parameter vector in place.
+iterative unlearning method.  It steps a stack of S parameter vectors, one
+run per seed, in lockstep: each step is one stacked numpy call for all S
+runs, so numpy's fixed cost per call is paid once per step, not once per
+seed.  A single run is the S = 1 case.  Each caller prepares an epoch's
+batches once, from that epoch's shuffled orders, and the loop then steps
+through them with only the parameter-dependent gradient left per step.  The
+loop owns one ``Model`` per call and steps its parameter stack in place.
+
+The kernels (``logits``, ``forward``, ``ce_loss``, ``grad``) take leading
+axes by broadcasting: a ``theta`` of shape (S, P) and rows of shape (n, d)
+or (S, n, d) give S results, each with the bits of its own 2-D call.
 
 The kernels are called thousands of times on batches of a few dozen rows, so
 they reuse their own temporaries (``out=``, in-place updates) wherever that
@@ -70,10 +77,23 @@ class Model:
         """This model with parameters ``theta`` (not copied when already
         float64).  The other fields were validated when this model was built,
         so only theta's shape is checked: Newton calls this once per trial
-        step, ``minibatch_sgd`` once per run."""
+        step."""
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != self.theta.shape:
             raise DimensionError(f"theta has shape {theta.shape}, expected {self.theta.shape}")
+        return self._with(theta)
+
+    def with_stack(self, theta: np.ndarray) -> "Model":
+        """``with_theta`` for a ``theta`` of any leading shape, such as the
+        (S, P) stack of S lockstep runs or one of its rows; only the last
+        axis is checked."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape[-1:] != self.theta.shape[-1:]:
+            raise DimensionError(f"theta has shape {theta.shape}, expected (..., {self.theta.shape[-1]})")
+        return self._with(theta)
+
+    def _with(self, theta: np.ndarray) -> "Model":
+        """This model with the float64 ``theta``, unchecked."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, theta=theta)
         return new
@@ -112,34 +132,38 @@ def init_model(kind: str, d: int, K: int, l2: float = 1e-2, hidden: int = 16,
     return Model(kind=kind, theta=theta, d=d, K=K, l2=l2, hidden=h)
 
 
+# Views of theta's blocks, with theta's leading axes in front of each block's
+# shape; the weight matrices are views too, so a kernel may write into them.
 def _unpack_logistic(model: Model):
-    W = model.theta[: model.K * model.d].reshape(model.K, model.d)
-    b = model.theta[model.K * model.d:]
+    t, K, d = model.theta, model.K, model.d
+    W = t[..., : K * d].reshape(t.shape[:-1] + (K, d))
+    b = t[..., K * d:]
     return W, b
 
 
 def _unpack_mlp(model: Model):
     d, K, h = model.d, model.K, model.hidden
     t = model.theta
+    lead = t.shape[:-1]
     i = 0
-    W1 = t[i:i + h * d].reshape(h, d); i += h * d
-    b1 = t[i:i + h]; i += h
-    W2 = t[i:i + K * h].reshape(K, h); i += K * h
-    b2 = t[i:i + K]
+    W1 = t[..., i:i + h * d].reshape(lead + (h, d)); i += h * d
+    b1 = t[..., i:i + h]; i += h
+    W2 = t[..., i:i + K * h].reshape(lead + (K, h)); i += K * h
+    b2 = t[..., i:i + K]
     return W1, b1, W2, b2
 
 
 def logits(model: Model, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.d:
+    if X.ndim < 2 or X.shape[-1] != model.d:
         raise DimensionError(f"X has shape {X.shape}, expected (n, {model.d})")
     if model.kind == "logistic":
         W, b = _unpack_logistic(model)
-        Z = X @ W.T
+        Z = X @ W.swapaxes(-1, -2)
     else:
         W1, b1, W2, b = _unpack_mlp(model)
-        Z = np.tanh(X @ W1.T + b1) @ W2.T
-    Z += b
+        Z = np.tanh(X @ W1.swapaxes(-1, -2) + b1[..., None, :]) @ W2.swapaxes(-1, -2)
+    Z += b[..., None, :]
     return Z
 
 
@@ -150,23 +174,24 @@ def forward(model: Model, X: np.ndarray) -> np.ndarray:
 
 def predict(model: Model, X: np.ndarray) -> np.ndarray:
     """Argmax class labels; ties break to the lowest class index."""
-    return np.argmax(forward(model, X), axis=1)
+    return np.argmax(forward(model, X), axis=-1)
 
 
 def onehot(y: np.ndarray, K: int) -> np.ndarray:
+    """Rows of the K x K identity picked by ``y``, of shape y.shape + (K,)."""
     y = np.asarray(y, dtype=np.int64)
     if y.size and (y.min() < 0 or y.max() >= K):
         raise DomainError("label outside [0, K)")
-    out = np.zeros((y.shape[0], K))
-    out[np.arange(y.shape[0]), y] = 1.0
+    out = np.zeros(y.shape + (K,))
+    out.reshape(-1, K)[np.arange(y.size), y.ravel()] = 1.0
     return out
 
 
 def _check_soft(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     soft = np.asarray(soft, dtype=np.float64)
-    if soft.shape != (X.shape[0], model.K):
-        raise DimensionError(f"soft labels have shape {soft.shape}, expected ({X.shape[0]}, {model.K})")
-    sums = soft.sum(axis=1)
+    if soft.shape[-2:] != (X.shape[-2], model.K):
+        raise DimensionError(f"soft labels have shape {soft.shape}, expected ({X.shape[-2]}, {model.K})")
+    sums = soft.sum(axis=-1)
     off = np.abs(sums - 1.0)
     # every row summing to 1 is the common case: one max decides it (a NaN sum
     # fails it and goes on to the full test)
@@ -180,8 +205,9 @@ def _check_soft(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     return soft
 
 
-def ce_loss(model: Model, X: np.ndarray, soft: np.ndarray) -> float:
-    """Mean of sum_j soft[j] * (-log p_j) over rows, plus l2/2 * ||theta||^2."""
+def ce_loss(model: Model, X: np.ndarray, soft: np.ndarray) -> float | np.ndarray:
+    """Mean of sum_j soft[j] * (-log p_j) over rows, plus l2/2 * ||theta||^2;
+    a float, or an array over the leading axes of a stacked call."""
     X = np.asarray(X, dtype=np.float64)
     soft = _check_soft(model, X, soft)
     p = forward(model, X)
@@ -190,8 +216,13 @@ def ce_loss(model: Model, X: np.ndarray, soft: np.ndarray) -> float:
     logp = np.maximum(p, _P_FLOOR, out=p)
     np.log(logp, out=logp)
     logp *= soft
-    data = -logp.sum(axis=1).mean() if X.shape[0] else 0.0
-    return float(data + 0.5 * model.l2 * np.dot(model.theta, model.theta))
+    # the row mean as np.mean computes it (sum, then divide by the count),
+    # without its per-call Python overhead
+    data = -(logp.sum(axis=-1).sum(axis=-1) / X.shape[-2]) if X.shape[-2] else 0.0
+    theta = model.theta
+    # each row-by-column product is the BLAS dot np.dot(theta, theta) takes
+    loss = data + 0.5 * model.l2 * (theta[..., None, :] @ theta[..., :, None])[..., 0, 0]
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def grad(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
@@ -202,29 +233,30 @@ def grad(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
 
 def _grad(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     """grad without the input checks, for callers that made them once."""
-    n = X.shape[0]
+    n = X.shape[-2]
     if n == 0:
         return model.l2 * model.theta.copy()
     dlogits = forward(model, X)
-    dlogits *= soft.sum(axis=1, keepdims=True)
+    dlogits *= soft.sum(axis=-1, keepdims=True)
     dlogits -= soft
     dlogits /= n
     # each block of the gradient is written straight into its view of g
-    g = np.empty(model.theta.size)
+    g = np.empty(dlogits.shape[:-2] + model.theta.shape[-1:])
+    dlogits_T = dlogits.swapaxes(-1, -2)
     if model.kind == "logistic":
-        gW, gb = _unpack_logistic(model.with_theta(g))
-        np.matmul(dlogits.T, X, out=gW)
-        dlogits.sum(axis=0, out=gb)
+        gW, gb = _unpack_logistic(model._with(g))
+        np.matmul(dlogits_T, X, out=gW)
+        dlogits.sum(axis=-2, out=gb)
     else:
         W1, b1, W2, b2 = _unpack_mlp(model)
-        gW1, gb1, gW2, gb2 = _unpack_mlp(model.with_theta(g))
-        A = np.tanh(X @ W1.T + b1)
+        gW1, gb1, gW2, gb2 = _unpack_mlp(model._with(g))
+        A = np.tanh(X @ W1.swapaxes(-1, -2) + b1[..., None, :])
         dZ = dlogits @ W2
         dZ *= 1.0 - A * A
-        np.matmul(dZ.T, X, out=gW1)
-        dZ.sum(axis=0, out=gb1)
-        np.matmul(dlogits.T, A, out=gW2)
-        dlogits.sum(axis=0, out=gb2)
+        np.matmul(dZ.swapaxes(-1, -2), X, out=gW1)
+        dZ.sum(axis=-2, out=gb1)
+        np.matmul(dlogits_T, A, out=gW2)
+        dlogits.sum(axis=-2, out=gb2)
     g += model.l2 * model.theta
     return g
 
@@ -294,45 +326,64 @@ def _hessian_index(K: int, d: int):
     return (rows, cols), reorder
 
 
-def minibatch_sgd(model: Model, n: int, cfg, rng: np.random.Generator, epoch_grad,
-                  epoch_loss, name: str) -> tuple[Model, list[float]]:
-    """Per epoch, draw ``order = rng.permutation(n)`` and call ``epoch_grad(order)``
-    once; it prepares that epoch's batches and returns ``batch_grad(model_at_theta,
-    lo, hi)``, the gradient on the rows ``order[lo:hi]``.  Then step
-    ``theta -= cfg.lr * batch_grad(...)`` over the ``cfg.batch_size`` slices of
-    ``order`` and record ``epoch_loss(model_at_theta)``.  Both get the run's one
-    model, whose theta is stepped in place, so neither may keep it past the
-    call.  Ascent closures return the negated gradient.  Raises DomainError
-    naming ``name`` once theta or the loss is not finite."""
+def minibatch_sgd(model: Model, n: int, cfg, rngs, epoch_grad, epoch_loss,
+                  name: str) -> tuple[Model, list[list[float]]]:
+    """Step the (S, P) parameter stack ``model.theta`` in lockstep, run s
+    drawing its shuffles from ``rngs[s]``.
+
+    Per epoch, draw ``orders[s] = rngs[s].permutation(n)`` and call
+    ``epoch_grad(orders)`` once; it prepares that epoch's batches, stacked per
+    run, and returns ``batch_grad(model_at_theta, lo, hi)``, the (S, P)
+    gradients on the rows ``orders[:, lo:hi]``.  Then step
+    ``theta -= cfg.lr * batch_grad(...)`` over the ``cfg.batch_size`` slices
+    of the orders and record ``epoch_loss(model_at_theta)``, the S losses.
+    Both get the call's one model, whose theta is stepped in place, so neither
+    may keep it past the call.  Ascent closures return the negated gradient.
+    Returns the stepped model and one loss history per run.  Raises
+    DomainError naming ``name`` once any run's theta or loss is not finite."""
     theta = model.theta.copy()
-    model = model.with_theta(theta)  # this run's own model, stepped in place
-    history: list[float] = []
+    model = model.with_theta(theta)  # this call's own model, stepped in place
+    losses = []
     for epoch in range(1, cfg.epochs + 1):
-        batch_grad = epoch_grad(rng.permutation(n))
+        batch_grad = epoch_grad(np.stack([rng.permutation(n) for rng in rngs]))
         for lo in range(0, n, cfg.batch_size):
             theta -= cfg.lr * batch_grad(model, lo, lo + cfg.batch_size)
             if not np.isfinite(theta).all():
                 raise DomainError(f"{name} diverged in epoch {epoch}: parameters are no longer finite")
-        history.append(epoch_loss(model))
-        if not np.isfinite(history[-1]):
-            raise DomainError(f"{name} diverged in epoch {epoch}: loss is {history[-1]}")
-    return model, history
+        del batch_grad  # the epoch's batches go before the next epoch's are built
+        loss = epoch_loss(model)
+        losses.append(loss)
+        if not np.isfinite(loss).all():
+            raise DomainError(f"{name} diverged in epoch {epoch}: "
+                              f"loss is {float(loss[~np.isfinite(loss)][0])}")
+    return model, np.reshape(losses, (cfg.epochs, len(theta))).T.tolist()
 
 
 def sgd_train(model: Model, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
-              rng: np.random.Generator | None = None) -> tuple[Model, list[float]]:
-    """Deterministic mini-batch SGD on one-hot labels; returns per-epoch losses."""
+              rng=None) -> tuple[Model, list]:
+    """Deterministic mini-batch SGD on one-hot labels; returns the trained
+    model and its per-epoch losses.
+
+    In lockstep form ``model.theta`` is an (S, P) stack, ``y`` has shape (n,)
+    or (S, n) and ``rng`` is a list of S generators: run s trains
+    ``theta[s]`` on its labels with ``rng[s]``, and the result is the
+    stacked model and S histories, each the bits of that run alone."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise DomainError("cannot train on an empty dataset")
+    single = model.theta.ndim == 1
+    if single:
+        model = model.with_stack(model.theta[None])
+        rng = [rng if rng is not None else rng_stream(cfg.seed, 0)]
     labels = _check_soft(model, X, onehot(y, model.K))
-    rng = rng if rng is not None else rng_stream(cfg.seed, 0)
 
-    def epoch_grad(order):
-        Xo, So = X[order], labels[order]
-        return lambda m, lo, hi: _grad(m, Xo[lo:hi], So[lo:hi])
-    return minibatch_sgd(model, X.shape[0], cfg, rng, epoch_grad,
-                         lambda m: ce_loss(m, X, labels), "sgd_train")
+    def epoch_grad(orders):
+        Xo = X[orders]
+        So = labels[orders] if labels.ndim == 2 else np.take_along_axis(labels, orders[..., None], 1)
+        return lambda m, lo, hi: _grad(m, Xo[:, lo:hi], So[:, lo:hi])
+    trained, history = minibatch_sgd(model, X.shape[0], cfg, rng, epoch_grad,
+                                     lambda m: ce_loss(m, X, labels), "sgd_train")
+    return (trained.with_stack(trained.theta[0]), history[0]) if single else (trained, history)
 
 
 def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:

@@ -40,12 +40,12 @@ class SmoothingPolicy:
 
 
 def gls_labels(y: np.ndarray, K: int, alphas: np.ndarray) -> np.ndarray:
-    """Row-wise smoothed labels for per-example rates."""
+    """Row-wise smoothed labels for per-example rates, of shape y.shape + (K,)."""
     y = np.asarray(y, dtype=np.int64)
     alphas = np.broadcast_to(np.asarray(alphas, dtype=np.float64), y.shape)
     if np.any(alphas > 1):
         raise DomainError("smooth rate must be <= 1")
-    return (1.0 - alphas)[:, None] * onehot(y, K) + (alphas / K)[:, None]
+    return (1.0 - alphas)[..., None] * onehot(y, K) + (alphas / K)[..., None]
 
 
 def pairwise_distance(Xr: np.ndarray, Xf: np.ndarray) -> np.ndarray:
@@ -59,8 +59,14 @@ def pairwise_distance(Xr: np.ndarray, Xf: np.ndarray) -> np.ndarray:
     nf = np.linalg.norm(Xf, axis=-1)
     denom = nr[..., :, None] * nf[..., None, :]
     dots = Xr @ np.swapaxes(Xf, -1, -2)
-    cos = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-    return np.clip((1.0 - cos) / 2.0, 0.0, 1.0)
+    # the rest runs in place: a stacked UGradSL epoch's distance block is its
+    # largest buffer, so each extra copy would add to peak memory
+    nonzero = denom > 0
+    dist = np.divide(dots, denom, out=dots, where=nonzero)
+    dist[~nonzero] = 0.0
+    np.subtract(1.0, dist, out=dist)
+    dist /= 2.0
+    return np.clip(dist, 0.0, 1.0, out=dist)
 
 
 def adaptive_rates(Xr: np.ndarray, Xf: np.ndarray, beta: float) -> np.ndarray:
@@ -94,24 +100,27 @@ def batch_alphas(policy: SmoothingPolicy, Xr: np.ndarray, Xf: np.ndarray) -> np.
 def epoch_alphas(policy: SmoothingPolicy, Xr: np.ndarray, Xf: np.ndarray,
                  batch: int) -> np.ndarray:
     """``batch_alphas`` of every ``batch``-row slice of the paired rows
-    ``Xr[i]``, ``Xf[i]``, equal to one call per slice, in row order.
+    ``Xr[..., i, :]``, ``Xf[..., i, :]``, equal to one call per slice, in row
+    order; leading axes (one per lockstep run) come first in the result.
 
-    The full batches go to ``batch_alphas`` stacked as (batches, batch, d), at
-    most ``ALPHA_BLOCK_ENTRIES`` distance entries (and at least one batch) per
-    call, so memory stays bounded whatever the epoch length.  A short last
-    batch goes alone: its rates divide by its own row count.
+    The full batches go to ``batch_alphas`` stacked as (..., batches, batch,
+    d), at most ``ALPHA_BLOCK_ENTRIES`` distance entries (and at least one
+    batch) per call, so memory stays bounded whatever the epoch length.  A
+    short last batch goes alone: its rates divide by its own row count.
     """
-    n, d = Xf.shape
+    *lead, n, d = Xf.shape
+    runs = int(np.prod(lead))
     full = n - n % batch
-    step = max(1, ALPHA_BLOCK_ENTRIES // (batch * batch)) * batch
+    step = max(1, ALPHA_BLOCK_ENTRIES // (runs * batch * batch)) * batch
     parts = []
     for lo in range(0, full, step):
         hi = min(lo + step, full)
-        parts.append(batch_alphas(policy, Xr[lo:hi].reshape(-1, batch, d),
-                                  Xf[lo:hi].reshape(-1, batch, d)).ravel())
+        parts.append(batch_alphas(policy, Xr[..., lo:hi, :].reshape(*lead, -1, batch, d),
+                                  Xf[..., lo:hi, :].reshape(*lead, -1, batch, d)
+                                  ).reshape(*lead, hi - lo))
     if full < n:
-        parts.append(batch_alphas(policy, Xr[full:], Xf[full:]))
-    return np.concatenate(parts)
+        parts.append(batch_alphas(policy, Xr[..., full:, :], Xf[..., full:, :]))
+    return np.concatenate(parts, axis=-1)
 
 
 def mixed_grad(model: Model, Xr: np.ndarray, yr: np.ndarray,
@@ -122,8 +131,8 @@ def mixed_grad(model: Model, Xr: np.ndarray, yr: np.ndarray,
         raise DomainError("p must be in [0, 1]")
     Xr = np.asarray(Xr, dtype=np.float64)
     Yr = onehot(yr, model.K)
-    if Yr.shape[0] != Xr.shape[0]:
-        raise DimensionError(f"{Yr.shape[0]} retain labels for {Xr.shape[0]} retain rows")
+    if Yr.shape[:-1] != Xr.shape[:-1]:
+        raise DimensionError(f"{Yr[..., 0].size} retain labels for {Xr[..., 0].size} retain rows")
     # one-hot rows sum to 1 by construction: only the forget labels need _check_soft
     gr = models._grad(model, Xr, Yr)
     gf = models.grad(model, Xf, soft_f)

@@ -446,3 +446,19 @@ class TestFlagTable:
             assert command not in synopsis, f"two synopsis lines for {command}"
             synopsis[command] = set(FLAG_RE.findall(" ".join(rest)))
         assert synopsis == {cmd: set(flags) for cmd, (_, _, flags) in cli.COMMANDS.items()}
+
+
+class TestUnlearnSeeds:
+    def test_several_configured_seeds_warn_naming_seeds_and_flag(self, tmp_path, capsys):
+        assert cli.main(["unlearn", "--config", write_cfg(tmp_path), "--method", "ga"]) == 0
+        captured = capsys.readouterr()
+        assert "seeds = 0,1" in captured.err and "--seed" in captured.err
+        assert json.loads(captured.out)["seed"] == 0
+
+    @pytest.mark.parametrize("argv", [["--seed", "1"], []], ids=["flag", "one-configured"])
+    def test_one_seed_runs_quietly(self, tmp_path, capsys, argv):
+        cfgp = write_cfg(tmp_path, "" if argv else "seeds = 1\n")
+        assert cli.main(["unlearn", "--config", cfgp, "--method", "ga"] + argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["seed"] == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
-from unlearn_forge import cli, data, experiment, unlearn
+from unlearn_forge import cli, config, data, experiment, unlearn
 from unlearn_forge.config import default_config
 from unlearn_forge.errors import ConfigError, DomainError
 from unlearn_forge.models import TrainConfig
@@ -91,7 +91,8 @@ class SerialPool:
         return map(fn, tasks)
 
 
-@pytest.mark.parametrize("jobs, sizes", [(1, []), (3, [3]), (64, [4])])
+# 2 methods x 2 seeds, both seeds in one lockstep group: two (method, group) runs
+@pytest.mark.parametrize("jobs, sizes", [(1, []), (3, [2]), (64, [2])])
 def test_pool_never_larger_than_the_cells(monkeypatch, jobs, sizes):
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(SerialPool, "sizes", [])
@@ -100,3 +101,38 @@ def test_pool_never_larger_than_the_cells(monkeypatch, jobs, sizes):
     report = experiment.run_benchmark(cfg, [0, 1], jobs=jobs)
     assert SerialPool.sizes == sizes
     assert len(report["cells"]) == 4
+
+
+class TestValidate:
+    def test_verify_theory_rejects_out_of_domain_instances(self):
+        with pytest.raises(ConfigError, match="theory.instances"):
+            experiment.run_verify_theory({**default_config(), "theory.instances": 0})
+
+    def test_benchmark_rejects_out_of_domain_p_before_work(self, monkeypatch):
+        def fail(*_):
+            raise AssertionError("called before the config was validated")
+        monkeypatch.setattr(experiment, "build_datasets", fail)
+        with pytest.raises(ConfigError, match="unlearn.p"):
+            experiment.run_benchmark({**default_config(), "unlearn.p": 2}, [0])
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("unlearn.bogus", 1, "unknown key 'unlearn.bogus'"),
+        ("train.epochs", 2.5, "'train.epochs': 2.5 is not of type int"),
+        ("train.epochs", True, "'train.epochs': True is not of type int"),
+        ("model.kind", 3, "'model.kind': 3 is not of type str"),
+        ("smooth.beta", float("nan"), "'smooth.beta': nan is outside"),
+        ("data.seed", -1, "'data.seed': -1 is outside")])
+    def test_names_the_key(self, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            config.validate({**default_config(), key: value})
+
+    def test_missing_key(self):
+        cfg = default_config()
+        del cfg["unlearn.lr"]
+        with pytest.raises(ConfigError, match="missing key 'unlearn.lr'"):
+            config.validate(cfg)
+
+    def test_accepts_defaults_and_numbers_of_the_right_kind(self):
+        cfg = {**default_config(), "unlearn.p": 1, "train.epochs": np.int64(4),
+               "smooth.beta": np.float64(0.25)}
+        assert config.validate(cfg) is cfg
