@@ -25,7 +25,7 @@ SCHEMA: dict[str, tuple[type, object, str | None]] = {
     "data.seed": (int, 0, "[0, inf)"),
     "data.test_per_class": (int, 100, "[2, inf)"),
     "split.paradigm": (str, "classwise", None),
-    "split.class": (int, 0, None),
+    "split.class": (int, 0, "[0, inf)"),
     "split.fraction": (float, 0.1, "(0, 1)"),
     "split.groups": (str, "", None),
     "split.seed": (int, 0, "[0, inf)"),

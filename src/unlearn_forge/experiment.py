@@ -6,6 +6,11 @@ The benchmark runs each method once per group of seeds, all the group's
 seeds stepped in lockstep (see ``unlearn``); every cell keeps the bits of its
 own single run, and its RTE is the group's wall-clock divided by the group's
 size.  ``--jobs`` spreads the (method, seed group) runs over processes.
+
+The theory verifier works the same way on its convex instances: each group
+of equal-shaped instances finds all its θ_tr with one stacked
+``newton_optimize`` run and all its θ_r with another (see ``models``), and
+each instance keeps the bits of its own solo solve.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import __version__, data, influence, metrics, models, unlearn
 from .config import validate
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, UnlearnForgeError
 from .numcore import rng_stream
 from .smoothing import SmoothingPolicy
 
@@ -28,7 +33,8 @@ SUMMARY_FIELDS = CELL_FIELDS + ("rte_seconds",)
 # the training set per seed: the stacked per-epoch arrays of a method take
 # about that much per seed.  2**16 entries are 512 KiB; the default config
 # (300 rows, d + K = 8) fits 27 seeds per group, K = 10, 1000 rows per class
-# and d = 20 fit one.
+# and d = 20 fit one.  The theory verifier's groups of instances take the
+# same budget (see ``theory_groups``).
 GROUP_ENTRIES = 2 ** 16
 # TheoryReport fields of one verify-theory row
 THEORY_FIELDS = ("dist_ga", "dist_noop", "inner", "ga_cannot_help", "condition_met",
@@ -55,6 +61,9 @@ def build_split(cfg: dict, ds: data.LabeledDataset,
     """The configured forget split and the test set to evaluate it on."""
     paradigm = cfg["split.paradigm"]
     if paradigm == "classwise":
+        if cfg["split.class"] >= cfg["data.k"]:
+            raise ConfigError(f"split.class = {cfg['split.class']} is not a class of "
+                              f"data.k = {cfg['data.k']} classes (0 to {cfg['data.k'] - 1})")
         return data.split_classwise(ds, cfg["split.class"], test)
     if paradigm == "random":
         split = data.split_random(ds, cfg["split.fraction"], rng_stream(cfg["split.seed"], 12))
@@ -199,14 +208,15 @@ def run_benchmark(cfg: dict, seeds: list[int], jobs: int = 1) -> dict:
 
 
 def run_verify_theory(cfg: dict) -> dict:
-    """Theorem checks over seeded convex instances."""
+    """Theorem checks over seeded convex instances.
+
+    Consecutive instances of equal shape are solved in lockstep groups (see
+    ``theory_groups`` and ``theory_rows``), with the rows and errors of
+    solving them one at a time."""
     validate(cfg)
     n_inst = cfg["theory.instances"]
     grid = np.linspace(cfg["theory.alpha_grid_min"], -1e-6, cfg["theory.alpha_grid_points"])
-    rows = []
-    for i in range(n_inst):
-        rep = theory_instance(cfg, i, grid)[0]
-        rows.append({"instance": i, **{f: getattr(rep, f) for f in THEORY_FIELDS}})
+    rows = [row for group in theory_groups(cfg) for row in theory_rows(cfg, group, grid)]
     return {
         "tool_version": __version__,
         "config": cfg,
@@ -221,20 +231,74 @@ def run_verify_theory(cfg: dict) -> dict:
     }
 
 
-def theory_instance(cfg: dict, index: int, grid: np.ndarray):
-    """One convex instance: blobs, a random forget split, Newton-trained
-    optima, and the theorem-2 report."""
+def theory_rows(cfg: dict, group: list, grid: np.ndarray) -> list[dict]:
+    """The verify-theory rows of one ``theory_groups`` group, solved in
+    lockstep; if that raises, the group's instances rerun one at a time, so
+    the error is the one the first failing instance raises alone."""
+    try:
+        done = theory_instances(cfg, [problem for _, problem in group], grid)
+    except UnlearnForgeError:
+        if len(group) == 1:
+            raise
+        done = [theory_instance(cfg, i, grid) for i, _ in group]
+    return [{"instance": i, **{f: getattr(rep, f) for f in THEORY_FIELDS}}
+            for (i, _), (rep, *_) in zip(group, done)]
+
+
+def theory_data(cfg: dict, index: int):
+    """The data of convex instance ``index``: blobs and a random forget
+    split, as (ds, retain, forget)."""
     rng = rng_stream(cfg["theory.seed"], 100 + index)
     K = 3
     d = 3
     spread = float(rng.uniform(0.6, 3.0))
     ds = data.gen_blobs(K, 30, d, spread, 1, rng)
     split = data.split_random(ds, 0.2, rng)
-    retain = ds.subset(split.retain_idx)
-    forget = ds.subset(split.forget_idx)
+    return ds, ds.subset(split.retain_idx), ds.subset(split.forget_idx)
+
+
+def theory_groups(cfg: dict):
+    """Every instance's ``theory_data`` in index order, yielded as lists of
+    (index, data) pairs: runs of consecutive instances of equal shape with
+    at most ``GROUP_ENTRIES`` stacked entries each (and at least one
+    instance).  An instance counts 2 n K (d+1) entries, its slice of the
+    stacked Hessian's B and S * B arrays.  Data is built as groups are taken,
+    so one group's is held at a time."""
+    group, shape = [], None
+    for i in range(cfg["theory.instances"]):
+        ds, retain, forget = theory_data(cfg, i)
+        if group and ((ds.X.shape, retain.X.shape) != shape or len(group) >= size):
+            yield group
+            group = []
+        shape = ds.X.shape, retain.X.shape
+        size = max(1, GROUP_ENTRIES // (2 * ds.n * ds.K * (ds.d + 1)))
+        group.append((i, (ds, retain, forget)))
+    yield group
+
+
+def theory_instances(cfg: dict, problems: list, grid: np.ndarray) -> list[tuple]:
+    """Newton-trained optima and the theorem-2 report of equal-shaped
+    ``theory_data`` problems, as ``theory_instance`` tuples; one stacked
+    ``newton_optimize`` call finds every problem's θ_tr, and one its θ_r."""
+    d, K = problems[0][0].d, problems[0][0].K
     template = models.init_model("logistic", d, K, cfg["model.l2"])
-    theta_tr = models.newton_optimize(template, ds.X, models.onehot(ds.y, K))
-    theta_r = models.newton_optimize(template, retain.X, models.onehot(retain.y, K))
-    rep = influence.check_theorem2(theta_tr, theta_r, ds, retain, forget, grid,
-                                   cfg["theory.damping"])
-    return rep, theta_tr, theta_r, ds, retain, forget
+    stack = template.with_stack(np.zeros((len(problems), template.theta.size)))
+
+    def optima(sets):
+        X = np.stack([s.X for s in sets])
+        return models.newton_optimize(stack, X, models.onehot(np.stack([s.y for s in sets]), K))
+    theta_tr = optima([ds for ds, _, _ in problems]).theta
+    theta_r = optima([retain for _, retain, _ in problems]).theta
+    out = []
+    for (ds, retain, forget), tr, r in zip(problems, theta_tr, theta_r):
+        tr, r = template.with_theta(tr), template.with_theta(r)
+        rep = influence.check_theorem2(tr, r, ds, retain, forget, grid, cfg["theory.damping"])
+        out.append((rep, tr, r, ds, retain, forget))
+    return out
+
+
+def theory_instance(cfg: dict, index: int, grid: np.ndarray):
+    """One convex instance: blobs, a random forget split, Newton-trained
+    optima, and the theorem-2 report, as (report, theta_tr, theta_r, ds,
+    retain, forget)."""
+    return theory_instances(cfg, [theory_data(cfg, index)], grid)[0]

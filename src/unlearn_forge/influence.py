@@ -173,7 +173,7 @@ def check_theorem2(theta_tr_model: Model, theta_r_model: Model,
     alpha_grid = np.asarray(alpha_grid, dtype=np.float64)
     if alpha_grid.size == 0:
         raise DomainError("empty alpha grid")
-    if np.any(alpha_grid >= 0):
+    if not np.all(alpha_grid < 0):  # a NaN fails too
         raise DomainError("alpha grid must be all negative")
     rep = check_theorem1(theta_tr_model, theta_r_model, tr, retain, forget, damping)
     rep.delta_n = delta_n(theta_tr_model, retain, forget, damping)

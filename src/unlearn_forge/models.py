@@ -20,9 +20,16 @@ batches once, from that epoch's shuffled orders, and the loop then steps
 through them with only the parameter-dependent gradient left per step.  The
 loop owns one ``Model`` per call and steps its parameter stack in place.
 
-The kernels (``logits``, ``forward``, ``ce_loss``, ``grad``) take leading
-axes by broadcasting: a ``theta`` of shape (S, P) and rows of shape (n, d)
-or (S, n, d) give S results, each with the bits of its own 2-D call.
+The kernels (``logits``, ``forward``, ``ce_loss``, ``grad``, ``hessian``)
+take leading axes by broadcasting: a ``theta`` of shape (S, P) and rows of
+shape (n, d) or (S, n, d) give S results, each with the bits of its own 2-D
+call.
+
+``newton_optimize`` runs damped Newton the same way: it steps an (S, P)
+stack of independent problems, one stacked ``grad``, ``hessian``,
+``solve_damped`` and ``ce_loss`` call per iteration for all problems still
+moving, and each problem freezes on its own once converged.  One problem is
+the S = 1 case.
 
 The kernels are called thousands of times on batches of a few dozen rows, so
 they reuse their own temporaries (``out=``, in-place updates) wherever that
@@ -39,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, SolverError, UnsupportedModelError
-from .numcore import rng_stream, softmax_rows, solve_damped
+from .numcore import rng_stream, row_dot, softmax_rows, solve_damped
 
 log = logging.getLogger("unlearn_forge")
 
@@ -219,9 +226,7 @@ def ce_loss(model: Model, X: np.ndarray, soft: np.ndarray) -> float | np.ndarray
     # the row mean as np.mean computes it (sum, then divide by the count),
     # without its per-call Python overhead
     data = -(logp.sum(axis=-1).sum(axis=-1) / X.shape[-2]) if X.shape[-2] else 0.0
-    theta = model.theta
-    # each row-by-column product is the BLAS dot np.dot(theta, theta) takes
-    loss = data + 0.5 * model.l2 * (theta[..., None, :] @ theta[..., :, None])[..., 0, 0]
+    loss = data + 0.5 * model.l2 * row_dot(model.theta)
     return float(loss) if loss.ndim == 0 else loss
 
 
@@ -275,35 +280,44 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     B is built ``HESSIAN_CHUNK_ROWS`` rows at a time to bound peak RSS: whole,
     B and its scaled copy take 2 n K (d+1) floats (30 MB at n = 9,000, K = 10,
     d = 20); in chunks they take 3.4 MB whatever n is.
+
+    Stacked, theta of shape (S, P), X of shape (S, n, d) and soft labels of
+    shape (S, n, K) give an (S, P, P) array, each slice the bits of its 2-D
+    call; the chunks stay ``HESSIAN_CHUNK_ROWS`` rows along n, so B and its
+    scaled copy take 2 S n K (d+1) floats up to that bound.
     """
     if model.kind != "logistic":
         raise UnsupportedModelError("exact Hessian is only available for the logistic model")
     X = np.asarray(X, dtype=np.float64)
     soft = _check_soft(model, X, soft)
-    n, d, K = X.shape[0], model.d, model.K
+    n, d, K = X.shape[-2], model.d, model.K
     P = n_params("logistic", d, K)
     if n == 0:
-        return model.l2 * np.eye(P)
+        lead = np.broadcast_shapes(model.theta.shape[:-1], X.shape[:-2], soft.shape[:-2])
+        return np.broadcast_to(model.l2 * np.eye(P), lead + (P, P)).copy()
     p = forward(model, X)
-    S = soft.sum(axis=1)
+    lead = p.shape[:-2]
+    S = soft.sum(axis=-1)
     m = d + 1
-    Xt = np.empty((n, m))
-    Xt[:, :d] = X
-    Xt[:, d] = 1.0
-    gram = np.zeros((K * m, K * m))
-    blocks = np.zeros((K * m, m))
+    Xt = np.empty(X.shape[:-1] + (m,))
+    Xt[..., :d] = X
+    Xt[..., d] = 1.0
+    gram = np.zeros(lead + (K * m, K * m))
+    blocks = np.zeros(lead + (K * m, m))
     for lo in range(0, n, HESSIAN_CHUNK_ROWS):
         rows = slice(lo, lo + HESSIAN_CHUNK_ROWS)
-        B = (p[rows, :, None] * Xt[rows, None, :]).reshape(-1, K * m)
-        SB = S[rows, None] * B
-        gram += SB.T @ B
-        blocks += SB.T @ Xt[rows]
-    diagonal, reorder = _hessian_index(K, d)
+        B = p[..., rows, :, None] * Xt[..., rows, None, :]
+        B = B.reshape(B.shape[:-2] + (K * m,))
+        SB = S[..., rows, None] * B
+        SB_T = SB.swapaxes(-1, -2)
+        gram += SB_T @ B
+        blocks += SB_T @ Xt[..., rows, :]
+    (rows, cols), (perm_rows, perm_cols) = _hessian_index(K, d)
     H_aug = np.negative(gram, out=gram)
-    H_aug[diagonal] += blocks
+    H_aug[..., rows, cols] += blocks
     H_aug /= n
-    H = H_aug[reorder]
-    H += H.T
+    H = H_aug[..., perm_rows, perm_cols]
+    H += H.swapaxes(-1, -2)
     H *= 0.5
     H += model.l2 * np.eye(P)
     return H
@@ -393,26 +407,63 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
     unique optimum; used wherever exact stationarity is required.  Steps solve
     (H + NEWTON_DAMPING I) step = g and backtrack; raises SolverError when no
     step size lowers the loss or NEWTON_MAX_ITER steps end above NEWTON_TOL.
+
+    In lockstep form ``model.theta`` is an (S, P) stack, X has shape
+    (S, n, d) and soft (S, n, K): S independent problems, stepped by one
+    stacked kernel call each per iteration.  Each problem stops once its own
+    gradient norm is <= NEWTON_TOL and backtracks on its own, so it ends on
+    the bits of its solo run; NEWTON_MAX_ITER bounds each problem's steps.
+    The errors of a stack of two or more name the first failing problem.  A
+    2-D call is the S = 1 case.
     """
     if model.kind != "logistic":
         raise UnsupportedModelError("newton_optimize requires the logistic model")
-    m = model
-    f0 = ce_loss(m, X, soft)
+    X = np.asarray(X, dtype=np.float64)
+    soft = np.asarray(soft, dtype=np.float64)
+    single = model.theta.ndim == 1
+    if single:
+        model, X, soft = model.with_stack(model.theta[None]), X[None], soft[None]
+    out = model.theta.copy()
+    if X.shape[:-2] != out.shape[:1] or soft.shape[:-2] != out.shape[:1]:
+        raise DimensionError(f"X {X.shape} and soft labels {soft.shape} do not hold one "
+                             f"problem for each of the {len(out)} parameter rows")
+    # the rows of ``out`` still stepping, with their inputs, parameters and losses
+    live = np.arange(len(out))
+
+    def problem(i):  # names live row i in the errors of a stack of two or more
+        return f" (problem {live[i]})" if len(out) > 1 else ""
+    theta = out.copy()
+    f0 = ce_loss(model._with(theta), X, soft)
     for it in range(NEWTON_MAX_ITER + 1):
+        m = model._with(theta)
         g = grad(m, X, soft)
-        g_norm = np.linalg.norm(g)
-        if g_norm <= NEWTON_TOL:
-            return m
+        g_norm = np.sqrt(row_dot(g))  # the bits of np.linalg.norm on each row
+        done = g_norm <= NEWTON_TOL
+        if done.any():
+            out[live[done]] = theta[done]
+            keep = ~done
+            if not keep.any():
+                return model._with(out[0]) if single else model._with(out)
+            live, theta, f0, g, g_norm = live[keep], theta[keep], f0[keep], g[keep], g_norm[keep]
+            X, soft = X[keep], soft[keep]
+            m = model._with(theta)
         if it == NEWTON_MAX_ITER:
-            raise SolverError(f"newton_optimize: gradient norm {g_norm:.3e} after {it} iterations")
+            raise SolverError(f"newton_optimize: gradient norm {g_norm[0]:.3e} after {it} "
+                              f"iterations{problem(0)}")
         step = solve_damped(hessian(m, X, soft), g, NEWTON_DAMPING)
+        # backtrack: ``todo`` indexes the rows that have not yet found a step
+        # size lowering their loss, and all of them are at the same size t
         t = 1.0
-        while t > 1e-8:
-            cand = m.with_theta(m.theta - t * step)
-            f_cand = ce_loss(cand, X, soft)
-            if f_cand <= f0:
-                m, f0 = cand, f_cand
+        todo = np.arange(len(live))
+        while True:
+            cand = theta[todo] - t * step[todo]
+            f_cand = ce_loss(model._with(cand), X[todo], soft[todo])
+            ok = f_cand <= f0[todo]
+            theta[todo[ok]], f0[todo[ok]] = cand[ok], f_cand[ok]
+            todo = todo[~ok]
+            if not todo.size:
                 break
             t *= 0.5
-        else:
-            raise SolverError(f"newton_optimize: no descent step at gradient norm {g_norm:.3e}")
+            if t <= 1e-8:
+                raise SolverError(f"newton_optimize: no descent step at gradient norm "
+                                  f"{g_norm[todo[0]]:.3e}{problem(todo[0])}")

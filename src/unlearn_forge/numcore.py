@@ -2,7 +2,8 @@
 streams.
 
 All arrays are plain numpy float64; matrices are row-major 2-D arrays and
-vectors are 1-D arrays.
+vectors are 1-D arrays, or stacks of them along leading axes where a
+function says so.
 """
 
 from __future__ import annotations
@@ -25,25 +26,43 @@ def solve_damped(A: np.ndarray, b: np.ndarray, damping: float = 0.0) -> np.ndarr
 
     A must be square and symmetric-shaped; the residual is checked against
     1e-8 * (1 + ||b||) and a SolverError is raised if it is exceeded.
+
+    A stack of systems, A of shape (..., P, P) and b of shape (..., P), is
+    solved in one call; each x has the bits of its own 2-D call, each
+    residual is checked on its own, and an error names the first failing
+    system.
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"expected square matrix, got shape {A.shape}")
-    if b.ndim != 1 or b.shape[0] != A.shape[0]:
+    if b.shape != A.shape[:-1]:
         raise DimensionError(f"rhs length {b.shape} does not match matrix {A.shape}")
     if damping < 0:
         raise DomainError("damping must be nonnegative")
-    M = A + damping * np.eye(A.shape[0])
+    M = A + damping * np.eye(A.shape[-1])
     try:
-        x = np.linalg.solve(M, b)
+        # each b goes in as one (P, 1) right-hand side: numpy reads a
+        # stacked b of shape (..., P) as matrices
+        x = np.linalg.solve(M, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular system: {exc}") from exc
-    residual = np.linalg.norm(M @ x - b)
-    tol = 1e-8 * (1.0 + np.linalg.norm(b))
-    if not np.isfinite(residual) or residual > tol:
-        raise SolverError(f"solve residual {residual:.3e} above tolerance {tol:.3e}")
+    r = (M @ x[..., None])[..., 0] - b
+    residual = np.sqrt(row_dot(r))
+    tol = 1e-8 * (1.0 + np.sqrt(row_dot(b)))
+    bad = ~(residual <= tol)  # a NaN residual fails too
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        where = f" in system {', '.join(map(str, first))}" if first else ""
+        raise SolverError(f"solve residual {residual[first]:.3e} above tolerance "
+                          f"{tol[first]:.3e}{where}")
     return x
+
+
+def row_dot(v: np.ndarray) -> np.ndarray:
+    """v @ v over the last axis; each row-by-column product is the BLAS dot
+    np.dot(v, v) takes, which ``np.linalg.norm`` squares a 1-D vector with."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -34,6 +34,9 @@ class LdpParams:
     def __post_init__(self):
         if self.K < 2:
             raise DomainError("need K >= 2")
+        for name in ("alpha", "gamma1", "gamma2"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} is {getattr(self, name)}, not a finite number")
         if self.alpha >= 0:
             raise DomainError("smooth rate must be negative")
         if self.gamma1 <= 0 or self.gamma2 <= 0:

@@ -277,6 +277,14 @@ class TestSubcommands:
         assert cli.main(["benchmark", "--config", str(bad)]) == 2
         assert cli.main(["ldp", "--k", "2", "--alpha", "-1", "--gamma1", "1", "--gamma2", "1"]) == 3
 
+    @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--gamma1", "nan"),
+                                             ("--gamma1", "inf"), ("--gamma2", "nan")])
+    def test_ldp_non_finite_rate_exit_3(self, capsys, flag, value):
+        args = {"--k": "3", "--alpha": "-0.5", "--gamma1": "2", "--gamma2": "1", flag: value}
+        assert cli.main(["ldp", *(a for kv in args.items() for a in kv), "--format", "machine"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and f"{flag[2:]} is {float(value)}, not a finite number" in out.err
+
     def test_log_env_validation(self, monkeypatch):
         monkeypatch.setenv("UNLEARN_FORGE_LOG", "verbose")
         assert cli.main(["ldp", "--k", "10", "--alpha", "-1", "--gamma1", "2", "--gamma2", "1"]) == 2
@@ -324,6 +332,20 @@ class TestConfigErrors:
         assert cli.main(["unlearn", "--config", cfgp, "--method", "iu"]) == 2
         err = capsys.readouterr().err
         assert "--method" in err and "model.kind" in err
+
+    @pytest.mark.parametrize("command", ["unlearn", "benchmark"])
+    @pytest.mark.parametrize("value, names", [("-1", ["split.class"]),
+                                              ("5", ["split.class", "data.k"])])
+    def test_forget_class_outside_k_exit_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                           command, value, names):
+        def fail(*_):
+            raise AssertionError("trained before split.class was checked")
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "train_original", fail)
+        cfgp = write_cfg(tmp_path, f"split.class = {value}\n")
+        assert cli.main([command, "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names)
 
     @pytest.mark.parametrize("key, value", [
         ("train.batch_size", "0"), ("unlearn.batch_size", "0"), ("train.epochs", "-1"),
