@@ -9,8 +9,9 @@ size.  ``--jobs`` spreads the (method, seed group) runs over processes.
 
 The theory verifier works the same way on its convex instances: each group
 of equal-shaped instances finds all its θ_tr with one stacked
-``newton_optimize`` run and all its θ_r with another (see ``models``), and
-each instance keeps the bits of its own solo solve.
+``newton_optimize`` run and all its θ_r with another (see ``models``), then
+makes all its reports with one stacked ``check_theorem2`` call (see
+``influence``); each instance keeps the bits of its own solo run.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ SUMMARY_FIELDS = CELL_FIELDS + ("rte_seconds",)
 # about that much per seed.  2**16 entries are 512 KiB; the default config
 # (300 rows, d + K = 8) fits 27 seeds per group, K = 10, 1000 rows per class
 # and d = 20 fit one.  The theory verifier's groups of instances take the
-# same budget (see ``theory_groups``).
+# same budget, counted another way (see ``theory_groups``).  Neither count
+# bounds a group's memory: it sizes the groups.
 GROUP_ENTRIES = 2 ** 16
 # TheoryReport fields of one verify-theory row
 THEORY_FIELDS = ("dist_ga", "dist_noop", "inner", "ga_cannot_help", "condition_met",
@@ -262,8 +264,12 @@ def theory_groups(cfg: dict):
     (index, data) pairs: runs of consecutive instances of equal shape with
     at most ``GROUP_ENTRIES`` stacked entries each (and at least one
     instance).  An instance counts 2 n K (d+1) entries, its slice of the
-    stacked Hessian's B and S * B arrays.  Data is built as groups are taken,
-    so one group's is held at a time."""
+    stacked Hessian's B and S * B arrays.  The probabilities, augmented rows,
+    stacked data and Newton's live-row copies come on top: at 30 instances
+    of 90 rows, d = K = 3, the tracemalloc peak of a group is 968 KiB in its
+    stacked Newton and 1,058 KiB in its stacked theorem check, about twice
+    the 512 KiB budget.  Data is built as groups are taken, so one group's
+    is held at a time."""
     group, shape = [], None
     for i in range(cfg["theory.instances"]):
         ds, retain, forget = theory_data(cfg, i)
@@ -279,7 +285,8 @@ def theory_groups(cfg: dict):
 def theory_instances(cfg: dict, problems: list, grid: np.ndarray) -> list[tuple]:
     """Newton-trained optima and the theorem-2 report of equal-shaped
     ``theory_data`` problems, as ``theory_instance`` tuples; one stacked
-    ``newton_optimize`` call finds every problem's θ_tr, and one its θ_r."""
+    ``newton_optimize`` call finds every problem's θ_tr, one its θ_r, and
+    one stacked ``check_theorem2`` call makes every report."""
     d, K = problems[0][0].d, problems[0][0].K
     template = models.init_model("logistic", d, K, cfg["model.l2"])
     stack = template.with_stack(np.zeros((len(problems), template.theta.size)))
@@ -287,14 +294,12 @@ def theory_instances(cfg: dict, problems: list, grid: np.ndarray) -> list[tuple]
     def optima(sets):
         X = np.stack([s.X for s in sets])
         return models.newton_optimize(stack, X, models.onehot(np.stack([s.y for s in sets]), K))
-    theta_tr = optima([ds for ds, _, _ in problems]).theta
-    theta_r = optima([retain for _, retain, _ in problems]).theta
-    out = []
-    for (ds, retain, forget), tr, r in zip(problems, theta_tr, theta_r):
-        tr, r = template.with_theta(tr), template.with_theta(r)
-        rep = influence.check_theorem2(tr, r, ds, retain, forget, grid, cfg["theory.damping"])
-        out.append((rep, tr, r, ds, retain, forget))
-    return out
+    sets, retains, forgets = zip(*problems)
+    theta_tr, theta_r = optima(sets), optima(retains)
+    reports = influence.check_theorem2(theta_tr, theta_r, sets, retains, forgets, grid,
+                                       cfg["theory.damping"])
+    return [(rep, template.with_theta(tr), template.with_theta(r), *problem)
+            for rep, tr, r, problem in zip(reports, theta_tr.theta, theta_r.theta, problems)]
 
 
 def theory_instance(cfg: dict, index: int, grid: np.ndarray):

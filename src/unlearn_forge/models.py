@@ -282,9 +282,9 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     d = 20); in chunks they take 3.4 MB whatever n is.
 
     Stacked, theta of shape (S, P), X of shape (S, n, d) and soft labels of
-    shape (S, n, K) give an (S, P, P) array, each slice the bits of its 2-D
-    call; the chunks stay ``HESSIAN_CHUNK_ROWS`` rows along n, so B and its
-    scaled copy take 2 S n K (d+1) floats up to that bound.
+    shape (S, n, K) give a C-ordered (S, P, P) array, each slice the bits of
+    its 2-D call; the chunks stay ``HESSIAN_CHUNK_ROWS`` rows along n, so B
+    and its scaled copy take 2 S n K (d+1) floats up to that bound.
     """
     if model.kind != "logistic":
         raise UnsupportedModelError("exact Hessian is only available for the logistic model")
@@ -316,7 +316,10 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     H_aug = np.negative(gram, out=gram)
     H_aug[..., rows, cols] += blocks
     H_aug /= n
-    H = H_aug[..., perm_rows, perm_cols]
+    # advanced indexing lays a stack out with the stack axis innermost; in C
+    # order each slice is laid out as its 2-D call's result, so a BLAS
+    # product on a slice (``H[s] @ v``) rounds as it does on that result
+    H = np.ascontiguousarray(H_aug[..., perm_rows, perm_cols])
     H += H.swapaxes(-1, -2)
     H *= 0.5
     H += model.l2 * np.eye(P)

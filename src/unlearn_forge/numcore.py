@@ -29,8 +29,8 @@ def solve_damped(A: np.ndarray, b: np.ndarray, damping: float = 0.0) -> np.ndarr
 
     A stack of systems, A of shape (..., P, P) and b of shape (..., P), is
     solved in one call; each x has the bits of its own 2-D call, each
-    residual is checked on its own, and an error names the first failing
-    system.
+    residual is checked on its own, and the error of a stack of two or more
+    systems names the first failing one.
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -53,7 +53,7 @@ def solve_damped(A: np.ndarray, b: np.ndarray, damping: float = 0.0) -> np.ndarr
     bad = ~(residual <= tol)  # a NaN residual fails too
     if bad.any():
         first = tuple(np.argwhere(bad)[0])
-        where = f" in system {', '.join(map(str, first))}" if first else ""
+        where = f" in system {', '.join(map(str, first))}" if bad.size > 1 else ""
         raise SolverError(f"solve residual {residual[first]:.3e} above tolerance "
                           f"{tol[first]:.3e}{where}")
     return x

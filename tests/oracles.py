@@ -9,7 +9,9 @@ forms of the smoothed and gradient-mixed losses.
 The ``*_ref`` functions are the logistic kernels as they were written before
 their per-call cost was cut (fresh temporaries, ``concatenate``, ``hstack``,
 a per-class block loop, the full soft-label mask on every call): the shipped
-kernels must equal them bit for bit.
+kernels must equal them bit for bit.  ``theory_report_ref`` is one
+instance's theorem check as it was written before the checks were stacked,
+which each stacked report must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from unlearn_forge import models
+from unlearn_forge import influence, models
 from unlearn_forge.errors import DimensionError, DomainError
 from unlearn_forge.models import Model, n_params, onehot
+from unlearn_forge.numcore import solve_damped
 from unlearn_forge.privacy import LdpParams
 
 
@@ -228,3 +231,47 @@ def hessian_ref(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     H = H_aug[np.ix_(perm, perm)]
     H = 0.5 * (H + H.T)
     return H + model.l2 * np.eye(P)
+
+
+def theory_report_ref(theta_tr: Model, theta_r: Model, tr, retain, forget, damping: float,
+                      alpha_grid: np.ndarray | None = None) -> influence.TheoryReport:
+    """One instance's ``check_theorem1`` report, with the ``check_theorem2``
+    fields when ``alpha_grid`` is given, from 2-D kernel calls: a fresh sum
+    Hessian for each of delta_r, delta_f, delta_n and the residual, and
+    ``np.linalg.norm`` for every norm."""
+    K = theta_tr.K
+
+    def sum_hessian(m, ds):
+        return ds.n * models.hessian(m, ds.X, onehot(ds.y, K))
+
+    def sum_grad(m, ds):
+        return ds.n * models.grad(m, ds.X, onehot(ds.y, K))
+    rep = influence.TheoryReport()
+    rep.grad_norm_tr = float(np.linalg.norm(models.grad(theta_tr, tr.X, onehot(tr.y, K))))
+    rep.grad_norm_r = float(np.linalg.norm(models.grad(theta_r, retain.X, onehot(retain.y, K))))
+    for name, norm in (("theta_tr", rep.grad_norm_tr), ("theta_r", rep.grad_norm_r)):
+        if norm > influence.STATIONARITY_WARN:
+            rep.warnings.append(f"{name} not stationary (grad norm {norm:.2e})")
+    rep.delta_r = solve_damped(sum_hessian(theta_r, tr), sum_grad(theta_r, tr), damping)
+    rep.delta_f = solve_damped(sum_hessian(theta_tr, retain), sum_grad(theta_tr, forget), damping)
+    rep.dist_ga = float(np.linalg.norm(rep.delta_r - rep.delta_f))
+    rep.dist_noop = float(np.linalg.norm(rep.delta_r))
+    rep.ga_cannot_help = rep.dist_ga > rep.dist_noop
+    rep.theorem1_residual = float(np.linalg.norm(sum_grad(theta_r, forget)
+                                                 + sum_hessian(theta_r, tr) @ rep.delta_f))
+    if alpha_grid is None:
+        return rep
+    nontarget = (1.0 - onehot(forget.y, K)) / (K - 1)
+    g_n = forget.n * (K - 1) * models.grad(theta_tr, forget.X, nontarget)
+    rep.delta_n = solve_damped(sum_hessian(theta_tr, retain), g_n, damping) / (K - 1)
+    u = rep.delta_r - rep.delta_f
+    v = rep.delta_n - rep.delta_f
+    rep.inner = float(u @ v)
+    rep.condition_met = rep.inner <= 0.0
+    rep.closed_form_alpha = influence.closed_form_best_alpha(rep.delta_r, rep.delta_f, rep.delta_n, K)
+    dists = np.linalg.norm(u + (1.0 - K) / K * alpha_grid[:, None] * v, axis=1)
+    if rep.condition_met:
+        i = int(np.argmin(dists))
+        rep.best_alpha = float(alpha_grid[i])
+        rep.dist_gls_at_best_alpha = float(dists[i])
+    return rep

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unlearn_forge import cli, data, experiment, models
-from unlearn_forge.config import default_config, parse_config, parse_seeds
+from unlearn_forge.config import SCHEMA, default_config, parse_config, parse_seeds
 from unlearn_forge.errors import ConfigError
 from unlearn_forge.modelio import load_model, save_model
 
@@ -484,3 +487,69 @@ class TestUnlearnSeeds:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert json.loads(captured.out)["seed"] == 1
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """``cli.main(argv)``'s exit code and stderr, captured without a
+    function-scoped fixture so that Hypothesis can call it per example."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def outside_domain(key: str):
+    """Values of ``key``'s type outside its ``SCHEMA`` interval (nan too, for a float key)."""
+    typ, _, domain = SCHEMA[key]
+    low, high = (float(bound) for bound in domain[1:-1].split(","))
+    low_closed, high_closed = domain[0] == "[", domain[-1] == "]"
+    sides = []
+    if typ is int:  # every int domain is [a, inf) or (a, inf)
+        sides.append(st.integers(max_value=int(low) - low_closed))
+    else:
+        if low > -math.inf:
+            sides.append(st.floats(max_value=low, exclude_max=low_closed, allow_nan=False))
+        if high < math.inf:
+            sides.append(st.floats(min_value=high, exclude_min=high_closed, allow_nan=False))
+        sides.append(st.just(math.nan))
+    return st.one_of(sides)
+
+
+BOUNDED_KEYS = sorted(k for k, (_, _, domain) in SCHEMA.items() if domain is not None)
+
+
+class TestTypedExitCodes:
+    """One property per typed error: its exit code and stderr prefix through ``cli.main``."""
+
+    @given(case=st.sampled_from(BOUNDED_KEYS).flatmap(
+        lambda key: st.tuples(st.just(key), outside_domain(key))))
+    @settings(max_examples=80, deadline=None)
+    def test_a_key_outside_its_domain_exits_2(self, tmp_path_factory, case):
+        key, value = case
+        path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        path.write_text(f"{key} = {value!r}\n")
+        code, err = run_cli(["verify-theory", "--config", str(path)])
+        assert code == 2
+        assert err.startswith("error: config: ") and repr(key) in err
+
+    @given(which=st.sampled_from(["--alpha", "--gamma1", "--gamma2"]),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]), K=st.integers(2, 50),
+           alpha=st.floats(-0.9, -0.1), gamma1=st.floats(1.5, 3.0), gamma2=st.floats(0.1, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_ldp_with_a_non_finite_rate_exits_3(self, which, bad, K, alpha, gamma1, gamma2):
+        values = {"--alpha": alpha, "--gamma1": gamma1, "--gamma2": gamma2, which: bad}
+        # the = form: argparse reads a separate "-inf" as a flag
+        code, err = run_cli(["ldp", "--k", str(K)] + [f"{flag}={v!r}" for flag, v in values.items()])
+        assert code == 3
+        assert err.startswith("error: domain: ") and "not a finite number" in err
+
+    @given(seed=st.integers(0, 10_000), instances=st.integers(1, 4))
+    @settings(max_examples=20, deadline=None)
+    def test_verify_theory_out_of_newton_iterations_exits_4(self, tmp_path_factory, seed, instances):
+        path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        path.write_text(f"theory.seed = {seed}\ntheory.instances = {instances}\n")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "NEWTON_MAX_ITER", 0)
+            code, err = run_cli(["verify-theory", "--config", str(path)])
+        assert code == 4
+        assert err.startswith("error: solver: newton_optimize: gradient norm ")

@@ -1,8 +1,11 @@
 """Lockstep Newton: stacked damped-Newton problems end on the bits of their
 solo runs, and ``verify-theory`` solves its instances in lockstep groups with
-the report and the errors of the one-at-a-time loop.
+the report and the errors of the one-at-a-time loop.  The theorem checks
+take the same stacks: each stacked report is the instance's 2-D report, bit
+for bit.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
+from oracles import theory_report_ref
 from unlearn_forge import cli, experiment, influence, models, numcore, smoothing
 from unlearn_forge.config import default_config
 from unlearn_forge.errors import DimensionError, DomainError, SolverError
@@ -208,3 +212,162 @@ def test_check_theorem2_rejects_a_nan_in_the_alpha_grid():
     rep, theta_tr, theta_r, ds, retain, forget = experiment.theory_instance(cfg, 0, grid(cfg))
     with pytest.raises(DomainError, match="all negative"):
         influence.check_theorem2(theta_tr, theta_r, ds, retain, forget, np.array([-1.0, np.nan]))
+
+
+def same_report(a, b) -> bool:
+    """Every TheoryReport field equal: arrays byte for byte, the rest by type
+    and repr (which round-trips a float exactly)."""
+    for f in dataclasses.fields(influence.TheoryReport):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if not same_bits(x, y):
+                return False
+        elif type(x) is not type(y) or repr(x) != repr(y):
+            return False
+    return True
+
+
+def stack(models_):
+    """One model carrying the (S, P) stack of ``models_``' parameters."""
+    return models_[0].with_stack(np.stack([m.theta for m in models_]))
+
+
+@pytest.fixture(scope="module")
+def solved():
+    """The first 30 default-config ``theory_data`` instances (one full group)
+    with θ_tr and θ_r from solo Newton runs."""
+    cfg = {**default_config(), "theory.instances": 30}
+    out = []
+    for i in range(30):
+        ds, retain, forget = experiment.theory_data(cfg, i)
+        template = models.init_model("logistic", ds.d, ds.K, cfg["model.l2"])
+        tr = models.newton_optimize(template, ds.X, onehot(ds.y, ds.K))
+        r = models.newton_optimize(template, retain.X, onehot(retain.y, ds.K))
+        out.append((tr, r, ds, retain, forget))
+    return cfg, out
+
+
+class TestStackedTheoremChecks:
+    @staticmethod
+    def pick(solved, S):
+        """S instances; at S = 3 a spread of them, the middle one moved off
+        its optimum so that it carries stationarity warnings."""
+        cfg, inst = solved
+        if S != 3:
+            return inst[:S]
+        tr, r, *sets = inst[17]
+        moved = tr.with_theta(tr.theta + 0.5 * np.random.default_rng(3).standard_normal(tr.theta.size))
+        return [inst[4], (moved, r, *sets), inst[29]]
+
+    @pytest.mark.parametrize("S", [1, 3, 30])
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_each_instance_gets_its_2d_report(self, solved, S, theorem):
+        cfg, _ = solved
+        picked = self.pick(solved, S)
+        tr, r, ds, retain, forget = zip(*picked)
+        damping = cfg["theory.damping"]
+        alpha = (grid(cfg),) if theorem == 2 else ()
+        check = influence.check_theorem2 if theorem == 2 else influence.check_theorem1
+        reports = check(stack(tr), stack(r), ds, retain, forget, *alpha, damping)
+        assert isinstance(reports, list) and len(reports) == S
+        for rep, one in zip(reports, picked):
+            alone = check(*one, *alpha, damping)
+            assert isinstance(alone, influence.TheoryReport)
+            assert same_report(rep, alone)
+            assert same_report(rep, theory_report_ref(*one, damping, *alpha))
+        if S == 3:
+            assert [bool(rep.warnings) for rep in reports] == [False, True, False]
+
+    @pytest.mark.parametrize("bad, message", [([], "empty alpha grid"),
+                                              ([-1.0, 0.5], "all negative"),
+                                              ([-1.0, np.nan], "all negative")])
+    def test_a_bad_grid_is_rejected_before_any_kernel_runs(self, solved, monkeypatch, bad, message):
+        tr, r, ds, retain, forget = zip(*self.pick(solved, 3))
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran")
+        monkeypatch.setattr(models, "grad", no_kernel)
+        monkeypatch.setattr(models, "hessian", no_kernel)
+        monkeypatch.setattr(influence, "solve_damped", no_kernel)
+        with pytest.raises(DomainError, match=message):
+            influence.check_theorem2(stack(tr), stack(r), ds, retain, forget, np.array(bad))
+
+    def test_the_data_must_hold_one_instance_per_row(self, solved):
+        tr, r, ds, retain, forget = zip(*self.pick(solved, 3))
+        with pytest.raises(DimensionError, match=r"one instance for each row of theta_tr \(3, 12\)$"):
+            influence.check_theorem1(stack(tr), stack(r), ds[:2], retain[:2], forget[:2])
+        with pytest.raises(DimensionError, match=r"one instance for each row of theta_tr \(3, 12\)$"):
+            influence.check_theorem1(stack(tr), stack(r[:2]), ds, retain, forget)
+        with pytest.raises(DimensionError, match=r"one instance for each row of theta_tr \(12,\)$"):
+            influence.check_theorem1(tr[0], r[0], ds[:1], retain[:1], forget[:1])
+        with pytest.raises(DimensionError, match=r"^X has shape \(90, 4\), expected \(n, 3\)$"):
+            influence.check_theorem1(tr[0], r[0], make_blobs(K=3, d=4), retain[0], forget[0])
+        with pytest.raises(DimensionError, match="datasets of one shape"):
+            influence.check_theorem1(stack(tr), stack(r), ds, retain, (forget[0], forget[1], retain[2]))
+
+    @pytest.mark.parametrize("seed", [1, 2])  # seed 0: test_100_instances_equal_the_one_at_a_time_loop
+    def test_100_instances_equal_the_loop_at_other_seeds(self, seed):
+        cfg = {**default_config(), "theory.instances": 100, "theory.seed": seed}
+        report = experiment.run_verify_theory(cfg)
+        loop = [experiment.theory_instance(cfg, i, grid(cfg))[0] for i in range(100)]
+        rows = [{"instance": i, **{f: getattr(rep, f) for f in experiment.THEORY_FIELDS}}
+                for i, rep in enumerate(loop)]
+        assert json.dumps(report["instances"]) == json.dumps(rows)
+
+    def test_a_failing_solve_raises_the_serial_error(self, monkeypatch):
+        """Instances 7 and 12 of one group of 20 get a NaN sum Hessian
+        H_r(θ_tr) in the checks' solves (``influence.solve_damped``, the name
+        the checks call); the group's stacked call names system 7, and
+        ``run_verify_theory`` raises what instance 7 raises alone."""
+        cfg = {**default_config(), "theory.instances": 20}
+        targets = []
+        for i in (7, 12):
+            _, tr, _, _, retain, _ = experiment.theory_instance(cfg, i, grid(cfg))
+            targets.append(influence._sum_hessian(tr, retain.X, retain.y).tobytes())
+        solve = numcore.solve_damped
+
+        def failing(A, b, damping):
+            A = A.copy()
+            for s in np.ndindex(A.shape[:-2]):
+                if A[s].tobytes() in targets:
+                    A[s] = np.nan
+            return solve(A, b, damping)
+        monkeypatch.setattr(influence, "solve_damped", failing)
+        group = [problem for _, problem in next(experiment.theory_groups(cfg))]
+        assert len(group) == 20
+        with pytest.raises(SolverError, match=r" in system 7$"):
+            experiment.theory_instances(cfg, group, grid(cfg))
+        with pytest.raises(SolverError) as alone:
+            experiment.theory_instance(cfg, 7, grid(cfg))
+        with pytest.raises(SolverError) as serial:
+            for i in range(20):
+                experiment.theory_instance(cfg, i, grid(cfg))
+        with pytest.raises(SolverError) as grouped:
+            experiment.run_verify_theory(cfg)
+        assert str(grouped.value) == str(serial.value) == str(alone.value)
+        assert "system" not in str(grouped.value)
+
+
+class TestContiguousStackedHessian:
+    def test_a_slice_takes_the_2d_products_bits(self):
+        """The stacked Hessian is C-ordered, so a matrix-vector product on one
+        slice runs the BLAS route of the 2-D result's product."""
+        cfg = {**default_config(), "theory.instances": 30}
+        sets = [experiment.theory_data(cfg, i)[0] for i in range(30)]
+        rng = np.random.default_rng(5)
+        m = models.init_model("logistic", 3, 3)
+        thetas = rng.standard_normal((30, m.theta.size))
+        v = rng.standard_normal((30, m.theta.size))
+        H = models.hessian(m.with_stack(thetas), np.stack([ds.X for ds in sets]),
+                           onehot(np.stack([ds.y for ds in sets]), 3))
+        assert H.flags.c_contiguous
+        for s, ds in enumerate(sets):
+            alone = models.hessian(m.with_theta(thetas[s]), ds.X, onehot(ds.y, 3))
+            assert same_bits(H[s] @ v[s], alone @ v[s])
+
+    def test_a_one_system_stack_names_no_system(self):
+        A = np.full((1, 3, 3), np.nan)
+        with pytest.raises(SolverError, match=r"above tolerance [0-9.e+-]+$"):
+            numcore.solve_damped(A, np.ones((1, 3)))
+        with pytest.raises(SolverError, match=r"above tolerance [0-9.e+-]+$"):
+            numcore.solve_damped(A[0], np.ones(3))
