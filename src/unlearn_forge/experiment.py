@@ -4,14 +4,16 @@ report over all configured methods and seeds, and the theory verifier.
 
 The benchmark runs each method once per group of seeds, all the group's
 seeds stepped in lockstep (see ``unlearn``); every cell keeps the bits of its
-own single run, and its RTE is the group's wall-clock divided by the group's
-size.  ``--jobs`` spreads the (method, seed group) runs over processes.
+own single run, and its RTE is the group's method call's wall-clock divided
+by the group's size.  ``--jobs`` spreads the (method, seed group) runs over
+processes.
 
-The theory verifier works the same way on its convex instances: each group
-of equal-shaped instances finds all its θ_tr with one stacked
-``newton_optimize`` run and all its θ_r with another (see ``models``), then
-makes all its reports with one stacked ``check_theorem2`` call (see
-``influence``); each instance keeps the bits of its own solo run.
+The theory verifier works the same way on its convex instances: each run of
+consecutive instances finds all its θ_tr with one stacked ``newton_optimize``
+run and all its θ_r with another (see ``models``), then makes all its reports
+with one stacked ``check_theorem2`` call (see ``influence``); each instance
+keeps the bits of its own solo run.  A failing group of either kind reruns
+its members one at a time, so it raises what its first failing member does.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import __version__, data, influence, metrics, models, unlearn
 from .config import validate
-from .errors import ConfigError, DomainError, UnlearnForgeError
+from .errors import ConfigError, UnlearnForgeError
 from .numcore import rng_stream
 from .smoothing import SmoothingPolicy
 
@@ -115,14 +117,23 @@ def seed_groups(ds: data.LabeledDataset, seeds: list[int]) -> list[list[int]]:
     return [seeds[i:i + size] for i in range(0, len(seeds), size)]
 
 
+def _each_alone_on_failure(run, items: list) -> list:
+    """``run(items)``, one output per item; if that raises, each item reruns
+    alone, so the error is the one the first failing item raises alone."""
+    try:
+        return run(items)
+    except UnlearnForgeError:
+        if len(items) == 1:
+            raise
+        return [out for item in items for out in run([item])]
+
+
 def run_cells(cfg: dict, method: str, seeds: list[int], ds: data.LabeledDataset,
               test: data.LabeledDataset, split: data.ForgetSplit,
               model: models.Model) -> list[tuple[unlearn.UnlearnResult, metrics.MetricsReport]]:
     """Unlearn ``split`` from ``model`` with one method at each of ``seeds``,
-    in lockstep, and evaluate each result on the forget, retain and test sets.
-
-    If the lockstep run raises DomainError, the seeds rerun one at a time, so
-    the error raised is the one the first failing seed raises alone."""
+    in lockstep (see ``_each_alone_on_failure``), and evaluate each result on
+    the forget, retain and test sets."""
     policy = SmoothingPolicy(mode=cfg["smooth.mode"], alpha=cfg["smooth.alpha"],
                              beta=cfg["smooth.beta"])
     # retrain reruns the original training schedule; the others run the unlearning one
@@ -131,12 +142,8 @@ def run_cells(cfg: dict, method: str, seeds: list[int], ds: data.LabeledDataset,
                                  lr=cfg[f"{sched}.lr"], p=cfg["unlearn.p"],
                                  batch_size=cfg[f"{sched}.batch_size"], seed=seeds[0],
                                  damping=cfg["unlearn.damping"], smoothing=policy)
-    try:
-        results = unlearn.run_method(model, ds, split, ucfg, seeds)
-    except DomainError:
-        if len(seeds) == 1:
-            raise
-        return [run_cell(cfg, method, s, ds, test, split, model) for s in seeds]
+    results = _each_alone_on_failure(
+        lambda group: unlearn.run_method(model, ds, split, ucfg, group), seeds)
     forget, retain = ds.subset(split.forget_idx), ds.subset(split.retain_idx)
     return [(r, metrics.evaluate(r.model, forget, retain, test, rte_seconds=r.rte_seconds, seed=s))
             for s, r in zip(seeds, results)]
@@ -212,7 +219,7 @@ def run_benchmark(cfg: dict, seeds: list[int], jobs: int = 1) -> dict:
 def run_verify_theory(cfg: dict) -> dict:
     """Theorem checks over seeded convex instances.
 
-    Consecutive instances of equal shape are solved in lockstep groups (see
+    Consecutive instances are solved in lockstep groups (see
     ``theory_groups`` and ``theory_rows``), with the rows and errors of
     solving them one at a time."""
     validate(cfg)
@@ -235,16 +242,11 @@ def run_verify_theory(cfg: dict) -> dict:
 
 def theory_rows(cfg: dict, group: list, grid: np.ndarray) -> list[dict]:
     """The verify-theory rows of one ``theory_groups`` group, solved in
-    lockstep; if that raises, the group's instances rerun one at a time, so
-    the error is the one the first failing instance raises alone."""
-    try:
-        done = theory_instances(cfg, [problem for _, problem in group], grid)
-    except UnlearnForgeError:
-        if len(group) == 1:
-            raise
-        done = [theory_instance(cfg, i, grid) for i, _ in group]
+    lockstep on its data (see ``_each_alone_on_failure``)."""
+    indices, problems = zip(*group)
+    done = _each_alone_on_failure(lambda ps: theory_instances(cfg, ps, grid), list(problems))
     return [{"instance": i, **{f: getattr(rep, f) for f in THEORY_FIELDS}}
-            for (i, _), (rep, *_) in zip(group, done)]
+            for i, (rep, *_) in zip(indices, done)]
 
 
 def theory_data(cfg: dict, index: int):
@@ -261,8 +263,8 @@ def theory_data(cfg: dict, index: int):
 
 def theory_groups(cfg: dict):
     """Every instance's ``theory_data`` in index order, yielded as lists of
-    (index, data) pairs: runs of consecutive instances of equal shape with
-    at most ``GROUP_ENTRIES`` stacked entries each (and at least one
+    (index, data) pairs: runs of consecutive instances (all of one shape)
+    with at most ``GROUP_ENTRIES`` stacked entries each (and at least one
     instance).  An instance counts 2 n K (d+1) entries, its slice of the
     stacked Hessian's B and S * B arrays.  The probabilities, augmented rows,
     stacked data and Newton's live-row copies come on top: at 30 instances
@@ -270,14 +272,12 @@ def theory_groups(cfg: dict):
     stacked Newton and 1,058 KiB in its stacked theorem check, about twice
     the 512 KiB budget.  Data is built as groups are taken, so one group's
     is held at a time."""
-    group, shape = [], None
+    group = []
     for i in range(cfg["theory.instances"]):
         ds, retain, forget = theory_data(cfg, i)
-        if group and ((ds.X.shape, retain.X.shape) != shape or len(group) >= size):
+        if len(group) >= max(1, GROUP_ENTRIES // (2 * ds.n * ds.K * (ds.d + 1))):
             yield group
             group = []
-        shape = ds.X.shape, retain.X.shape
-        size = max(1, GROUP_ENTRIES // (2 * ds.n * ds.K * (ds.d + 1)))
         group.append((i, (ds, retain, forget)))
     yield group
 

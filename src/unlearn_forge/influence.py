@@ -195,10 +195,9 @@ def _check(theta_tr_model: Model, theta_r_model: Model, tr, retain, forget,
         raise DimensionError(f"theta_r {theta_r_model.theta.shape} and the data "
                              f"({X_tr.shape}, {X_r.shape}, {X_f.shape}) do not hold one "
                              f"instance for each row of theta_tr {shape}")
-    single = len(shape) == 1
-    if single:  # the kernels broadcast the 2-D data over a one-row stack
-        theta_tr_model = theta_tr_model.with_stack(theta_tr_model.theta[None])
-        theta_r_model = theta_r_model.with_stack(theta_r_model.theta[None])
+    # a 2-D call is a one-row stack, over which the kernels broadcast its 2-D data
+    theta_tr_model = theta_tr_model.with_stack(np.atleast_2d(theta_tr_model.theta))
+    theta_r_model = theta_r_model.with_stack(np.atleast_2d(theta_r_model.theta))
     S = len(theta_tr_model.theta)
     K = theta_tr_model.K
     # every norm is the root of a row dot, the bits of np.linalg.norm on each row
@@ -242,4 +241,4 @@ def _check(theta_tr_model: Model, theta_r_model: Model, tr, retain, forget,
                 rep.best_alpha = float(alpha_grid[i])
                 rep.dist_gls_at_best_alpha = float(dists[i])
         reports.append(rep)
-    return reports[0] if single else reports
+    return reports if len(shape) > 1 else reports[0]

@@ -83,8 +83,7 @@ class Model:
     def with_theta(self, theta: np.ndarray) -> "Model":
         """This model with parameters ``theta`` (not copied when already
         float64).  The other fields were validated when this model was built,
-        so only theta's shape is checked: Newton calls this once per trial
-        step."""
+        so only theta's shape is checked."""
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != self.theta.shape:
             raise DimensionError(f"theta has shape {theta.shape}, expected {self.theta.shape}")
@@ -423,20 +422,19 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
         raise UnsupportedModelError("newton_optimize requires the logistic model")
     X = np.asarray(X, dtype=np.float64)
     soft = np.asarray(soft, dtype=np.float64)
-    single = model.theta.ndim == 1
-    if single:
-        model, X, soft = model.with_stack(model.theta[None]), X[None], soft[None]
-    out = model.theta.copy()
-    if X.shape[:-2] != out.shape[:1] or soft.shape[:-2] != out.shape[:1]:
+    out = model.theta.reshape(-1, model.theta.shape[-1]).copy()
+    if X.shape[:-2] != model.theta.shape[:-1] or soft.shape[:-2] != model.theta.shape[:-1]:
         raise DimensionError(f"X {X.shape} and soft labels {soft.shape} do not hold one "
                              f"problem for each of the {len(out)} parameter rows")
+    # the first loss checks the caller's own inputs; then they become an (S, ...) stack
+    f0 = np.ravel(ce_loss(model, X, soft))
+    X, soft = X.reshape((len(out),) + X.shape[-2:]), soft.reshape((len(out),) + soft.shape[-2:])
     # the rows of ``out`` still stepping, with their inputs, parameters and losses
     live = np.arange(len(out))
 
     def problem(i):  # names live row i in the errors of a stack of two or more
         return f" (problem {live[i]})" if len(out) > 1 else ""
     theta = out.copy()
-    f0 = ce_loss(model._with(theta), X, soft)
     for it in range(NEWTON_MAX_ITER + 1):
         m = model._with(theta)
         g = grad(m, X, soft)
@@ -446,7 +444,7 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
             out[live[done]] = theta[done]
             keep = ~done
             if not keep.any():
-                return model._with(out[0]) if single else model._with(out)
+                return model._with(out.reshape(model.theta.shape))
             live, theta, f0, g, g_norm = live[keep], theta[keep], f0[keep], g[keep], g_norm[keep]
             X, soft = X[keep], soft[keep]
             m = model._with(theta)

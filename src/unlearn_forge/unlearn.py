@@ -3,7 +3,7 @@
 Methods: retrain, finetune (FT), gradient_ascent (GA), random_label (RL),
 influence_unlearn (IU), ugradsl, ugradsl_plus.  Each is called as
 ``fn(model, ds, split, cfg)`` and returns an UnlearnResult with the unlearned
-model, wall-clock seconds of the unlearning call only, and per-epoch loss
+model, wall-clock seconds of the whole method call, and per-epoch loss
 history.  ``run_method`` picks the function named by ``cfg.method``.
 
 Each also runs several seeds in lockstep: ``fn(model, ds, split, cfg,
@@ -18,7 +18,8 @@ initial weights) and stacks it.  Once per epoch ``epoch_grad`` gathers the
 rows of that epoch's shuffled orders (for UGradSL also the partner rows, the
 smooth rates and the smoothed labels), and each step takes the gradient on a
 slice of them.  IU draws nothing, so it computes its update once for all
-seeds.
+seeds.  A method body returns only the stacked model and one history per
+seed: the ``_lockstep`` wrapper around it is the one reader of the clock.
 """
 
 from __future__ import annotations
@@ -67,23 +68,20 @@ class UnlearnResult:
 
 def _lockstep(run):
     """The public form of a method ``run(model, ds, split, cfg, seeds)``,
-    which returns one result per seed: without ``seeds`` it runs
-    ``cfg.seed`` alone and returns that one result."""
+    which returns the stacked model and one history per seed: it times the
+    whole call and returns one result per seed, each charged an equal share
+    of it; without ``seeds`` it runs ``cfg.seed`` alone and returns that one
+    result."""
     @functools.wraps(run)
     def method(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg, seeds=None):
-        results = run(model, ds, split, cfg, [cfg.seed] if seeds is None else list(seeds))
+        group = [cfg.seed] if seeds is None else list(seeds)
+        t0 = time.perf_counter()
+        stacked, histories = run(model, ds, split, cfg, group)
+        share = (time.perf_counter() - t0) / len(group)
+        results = [UnlearnResult(stacked.with_stack(stacked.theta[i]), share, history)
+                   for i, history in enumerate(histories)]
         return results[0] if seeds is None else results
     return method
-
-
-def _timed(fn, seeds) -> list[UnlearnResult]:
-    """Call ``fn`` for a stacked model and one history per seed, and split
-    them into one result per seed, each charged an equal share of the call."""
-    t0 = time.perf_counter()
-    model, histories = fn()
-    share = (time.perf_counter() - t0) / len(seeds)
-    return [UnlearnResult(model.with_stack(model.theta[i]), share, history)
-            for i, history in enumerate(histories)]
 
 
 def _stack(model: Model, seeds) -> Model:
@@ -101,21 +99,18 @@ def _require_retain(split: ForgetSplit):
 def retrain(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: TrainConfig, seeds):
     """Train a fresh model of ``model``'s shape on the retain rows only."""
     retain = ds.subset(split.retain_idx)
-
-    def run():
-        fresh = [models.init_model(model.kind, model.d, model.K, model.l2, model.hidden,
-                                   rng_stream(s, 1)).theta for s in seeds]
-        return models.sgd_train(model.with_stack(np.stack(fresh)), retain.X, retain.y, cfg,
-                                [rng_stream(s, 0) for s in seeds])
-    return _timed(run, seeds)
+    fresh = [models.init_model(model.kind, model.d, model.K, model.l2, model.hidden,
+                               rng_stream(s, 1)).theta for s in seeds]
+    return models.sgd_train(model.with_stack(np.stack(fresh)), retain.X, retain.y, cfg,
+                            [rng_stream(s, 0) for s in seeds])
 
 
 @_lockstep
 def finetune(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: UnlearnConfig, seeds):
     """Continue SGD on the retain rows from the trained parameters."""
     retain = ds.subset(split.retain_idx)
-    return _timed(lambda: models.sgd_train(_stack(model, seeds), retain.X, retain.y, cfg,
-                                           [rng_stream(s, 0) for s in seeds]), seeds)
+    return models.sgd_train(_stack(model, seeds), retain.X, retain.y, cfg,
+                            [rng_stream(s, 0) for s in seeds])
 
 
 @_lockstep
@@ -128,9 +123,9 @@ def gradient_ascent(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: U
     def epoch_grad(orders):
         Xo, So = forget.X[orders], labels[orders]
         return lambda m, lo, hi: -models._grad(m, Xo[:, lo:hi], So[:, lo:hi])
-    return _timed(lambda: models.minibatch_sgd(
-        _stack(model, seeds), forget.n, cfg, [rng_stream(s, 2) for s in seeds], epoch_grad,
-        lambda m: models.ce_loss(m, forget.X, labels), "ga"), seeds)
+    return models.minibatch_sgd(_stack(model, seeds), forget.n, cfg,
+                                [rng_stream(s, 2) for s in seeds], epoch_grad,
+                                lambda m: models.ce_loss(m, forget.X, labels), "ga")
 
 
 @_lockstep
@@ -147,8 +142,7 @@ def random_label(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: Unle
         # the r-th class other than y, for r uniform in [0, K-1)
         r = rng.integers(ds.K - 1, size=split.forget_idx.size)
         y[split.forget_idx] = r + (r >= ds.y[split.forget_idx])
-    return _timed(lambda: models.sgd_train(_stack(model, seeds), rows.X, y_new[:, idx], cfg, rngs),
-                  seeds)
+    return models.sgd_train(_stack(model, seeds), rows.X, y_new[:, idx], cfg, rngs)
 
 
 @_lockstep
@@ -156,15 +150,13 @@ def influence_unlearn(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg:
                       seeds):
     """Single closed-form influence update, no iterations:
     theta_u = theta + influence.delta_f with ``cfg.damping`` (logistic only)."""
-    def run():
-        retain, forget = ds.subset(split.retain_idx), ds.subset(split.forget_idx)
-        theta = model.theta + influence.delta_f(model, retain, forget, cfg.damping)
-        return _stack(model.with_theta(theta), seeds), [[] for _ in seeds]
-    return _timed(run, seeds)
+    retain, forget = ds.subset(split.retain_idx), ds.subset(split.forget_idx)
+    theta = model.theta + influence.delta_f(model, retain, forget, cfg.damping)
+    return _stack(model.with_theta(theta), seeds), [[] for _ in seeds]
 
 
 def _ugradsl_run(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: UnlearnConfig,
-                 seeds, retain_driven: bool) -> list[UnlearnResult]:
+                 seeds, retain_driven: bool) -> tuple[Model, list[list[float]]]:
     """Shared runner for ugradsl (forget-driven) and ugradsl_plus (retain-driven).
 
     The driving set is iterated in shuffled batches each epoch; each batch is
@@ -188,10 +180,9 @@ def _ugradsl_run(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: Unle
         soft_f = smoothing.gls_labels(forget.y[f_idx], model.K, alphas)
         return lambda m, lo, hi: smoothing.mixed_grad(m, Xr[:, lo:hi], yr[:, lo:hi], Xf[:, lo:hi],
                                                       soft_f[:, lo:hi], cfg.p)
-    return _timed(lambda: models.minibatch_sgd(_stack(model, seeds), drive_n, cfg, rngs, epoch_grad,
-                                               lambda m: models.ce_loss(m, forget.X, labels),
-                                               "ugradsl_plus" if retain_driven else "ugradsl"),
-                  seeds)
+    return models.minibatch_sgd(_stack(model, seeds), drive_n, cfg, rngs, epoch_grad,
+                                lambda m: models.ce_loss(m, forget.X, labels),
+                                "ugradsl_plus" if retain_driven else "ugradsl")
 
 
 @_lockstep

@@ -88,12 +88,13 @@ class TestLockstepEqualsSingleRuns:
             assert result.history == []
             assert same_bits(result.model.theta, model.theta)
 
-    def test_rte_is_the_group_time_shared(self, monkeypatch):
+    @pytest.mark.parametrize("method", unlearn.METHODS)
+    def test_rte_is_the_group_time_shared(self, monkeypatch, method):
         ticks = iter([10.0, 16.0])
         monkeypatch.setattr(unlearn, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
         cfg = small_cfg()
         ds, _, split, model = inputs(cfg)
-        ucfg = unlearn.UnlearnConfig(method="ft", epochs=1)
+        ucfg = unlearn.UnlearnConfig(method=method, epochs=1)
         results = unlearn.run_method(model, ds, split, ucfg, SEEDS)
         assert [r.rte_seconds for r in results] == [2.0, 2.0, 2.0]
 

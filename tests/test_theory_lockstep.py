@@ -149,6 +149,11 @@ class TestLockstepNewton:
         with pytest.raises(SolverError, match=r"no descent step .* \(problem 2\)$"):
             models.newton_optimize(template.with_stack(start), X, soft)
 
+    def test_a_2d_calls_input_errors_name_its_own_shapes(self):
+        template = models.init_model("logistic", 3, 3)
+        with pytest.raises(DimensionError, match=r"^X has shape \(90, 4\), expected \(n, 3\)$"):
+            models.newton_optimize(template, np.zeros((90, 4)), onehot(np.zeros(90, int), 3))
+
     def test_inputs_must_hold_one_problem_per_row(self):
         template, X, soft = self.problems()
         with pytest.raises(DimensionError, match="one problem for each of the 4 parameter rows"):
@@ -199,6 +204,26 @@ class TestVerifyTheoryGroups:
             experiment.run_verify_theory(cfg)
         assert str(grouped.value) == str(serial.value)
         assert "problem" not in str(grouped.value)
+
+    def test_a_failing_group_builds_each_instances_data_once(self, monkeypatch):
+        cfg = {**default_config(), "theory.instances": 35}
+        built = []
+        theory_data, theory_instances = experiment.theory_data, experiment.theory_instances
+
+        def counted(cfg, index):
+            built.append(index)
+            return theory_data(cfg, index)
+
+        def solo_only(cfg, problems, grid):
+            if len(problems) > 1:
+                raise SolverError("lockstep group refused")
+            return theory_instances(cfg, problems, grid)
+        monkeypatch.setattr(experiment, "theory_data", counted)
+        monkeypatch.setattr(experiment, "theory_instances", solo_only)
+        report = experiment.run_verify_theory(cfg)
+        assert built == list(range(35))
+        monkeypatch.undo()
+        assert report["instances"] == experiment.run_verify_theory(cfg)["instances"]
 
     @staticmethod
     def solo_problem(cfg, index, which):
