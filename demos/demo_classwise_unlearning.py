@@ -42,8 +42,7 @@ for method in unlearn.METHODS:
     cfg = UnlearnConfig(method=method, epochs=epochs, lr=lr, batch_size=32,
                         seed=0, smoothing=policy)
     res = unlearn.run_method(original, train, split, cfg)
-    reports[method] = metrics.evaluate(res.model, forget, retain, test_adj,
-                                       rte_seconds=res.rte_seconds)
+    reports[method] = metrics.evaluate(res.model, forget, retain, test_adj)
 
 ref = reports["retrain"]
 print(f"\n{'method':<14}{'UA':>8}{'MIA':>8}{'RA':>8}{'TA':>8}{'Sum':>9}{'AvgGap':>8}")

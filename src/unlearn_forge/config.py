@@ -19,7 +19,7 @@ SCHEMA: dict[str, tuple[type, object, str | None]] = {
     "data.file": (str, "", None),
     "data.k": (int, 3, "[2, inf)"),
     "data.per_class": (int, 100, "[2, inf)"),
-    "data.dim": (int, 5, None),
+    "data.dim": (int, 5, "[1, inf)"),
     "data.spread": (float, 1.0, "[0, inf)"),
     "data.subgroups": (int, 2, "[1, inf)"),
     "data.seed": (int, 0, "[0, inf)"),
@@ -30,7 +30,7 @@ SCHEMA: dict[str, tuple[type, object, str | None]] = {
     "split.groups": (str, "", None),
     "split.seed": (int, 0, "[0, inf)"),
     "model.kind": (str, "logistic", None),
-    "model.hidden": (int, 16, None),
+    "model.hidden": (int, 16, "[1, inf)"),
     "model.l2": (float, 1e-2, "[0, inf)"),
     "train.epochs": (int, 60, "[0, inf)"),
     "train.batch_size": (int, 32, "[1, inf)"),

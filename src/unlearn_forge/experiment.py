@@ -1,12 +1,12 @@
 """Experiment runners: datasets, forget splits and the original model built
-from a run configuration, the (method, seed) unlearning cells, the benchmark
-report over all configured methods and seeds, and the theory verifier.
+from a run configuration, one method's cells at a group of seeds, the
+benchmark report over all configured methods and seeds, and the theory verifier.
 
 The benchmark runs each method once per group of seeds, all the group's
 seeds stepped in lockstep (see ``unlearn``); every cell keeps the bits of its
-own single run, and its RTE is the group's method call's wall-clock divided
-by the group's size.  ``--jobs`` spreads the (method, seed group) runs over
-processes.
+own single run.  A cell's RTE, its share of the group's wall-clock, stays on
+its ``UnlearnResult`` and reaches only the report's ``rte_seconds`` key.
+``--jobs`` spreads the (method, seed group) runs over processes.
 
 The theory verifier works the same way on its convex instances: each run of
 consecutive instances finds all its θ_tr with one stacked ``newton_optimize``
@@ -29,9 +29,8 @@ from .errors import ConfigError, UnlearnForgeError
 from .numcore import rng_stream
 from .smoothing import SmoothingPolicy
 
-# MetricsReport fields of a benchmark cell, and those its summary aggregates
+# MetricsReport fields of a benchmark cell, each averaged in its summary
 CELL_FIELDS = ("ua", "mia", "ra", "ta", "sum", "additional_mia")
-SUMMARY_FIELDS = CELL_FIELDS + ("rte_seconds",)
 # Float64 entries per lockstep group of seeds, counted as rows x (d + K) of
 # the training set per seed: the stacked per-epoch arrays of a method take
 # about that much per seed.  2**16 entries are 512 KiB; the default config
@@ -145,7 +144,7 @@ def run_cells(cfg: dict, method: str, seeds: list[int], ds: data.LabeledDataset,
     results = _each_alone_on_failure(
         lambda group: unlearn.run_method(model, ds, split, ucfg, group), seeds)
     forget, retain = ds.subset(split.forget_idx), ds.subset(split.retain_idx)
-    return [(r, metrics.evaluate(r.model, forget, retain, test, rte_seconds=r.rte_seconds, seed=s))
+    return [(r, metrics.evaluate(r.model, forget, retain, test, seed=s))
             for s, r in zip(seeds, results)]
 
 
@@ -162,10 +161,11 @@ def cell_record(method: str, seed: int, report: metrics.MetricsReport) -> dict:
 
 
 def _bench_group(task):
-    """The benchmark cells of one method at one group of seeds; module-level
-    for multiprocessing."""
+    """The benchmark cells of one method at one group of seeds, each with
+    its result's RTE; module-level for multiprocessing."""
     cfg, method, seeds, *inputs = task
-    return [(method, s, report) for s, (_, report) in zip(seeds, run_cells(cfg, method, seeds, *inputs))]
+    return [(method, s, report, result.rte_seconds)
+            for s, (result, report) in zip(seeds, run_cells(cfg, method, seeds, *inputs))]
 
 
 def _mean_std(vals: list[float]) -> tuple[float, float | None]:
@@ -197,8 +197,8 @@ def run_benchmark(cfg: dict, seeds: list[int], jobs: int = 1) -> dict:
     cells = [cell for group in groups for cell in group]
     cells.sort(key=lambda c: (names.index(c[0]), c[1]))
 
-    summary = {m: {f: _mean_std([getattr(r, f) for cm, _, r in cells if cm == m])
-                   for f in SUMMARY_FIELDS}
+    summary = {m: {f: _mean_std([getattr(r, f) for cm, _, r, _ in cells if cm == m])
+                   for f in CELL_FIELDS}
                for m in names}
     ref = summary.get("retrain")
     for m, s in summary.items():
@@ -210,9 +210,9 @@ def run_benchmark(cfg: dict, seeds: list[int], jobs: int = 1) -> dict:
         "config": cfg,
         "seeds": seeds,
         "methods": names,
-        "cells": [cell_record(m, s, r) for m, s, r in cells],
+        "cells": [cell_record(m, s, r) for m, s, r, _ in cells],
         "summary": summary,
-        "rte_seconds": {m: summary[m]["rte_seconds"] for m in names},
+        "rte_seconds": {m: _mean_std([rte for cm, _, _, rte in cells if cm == m]) for m in names},
     }
 
 

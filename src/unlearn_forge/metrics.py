@@ -1,6 +1,6 @@
 """Evaluation suite: unlearning/remaining/testing accuracy, loss-threshold
 membership inference, combined metrics, and the forget-vs-test prediction
-distribution comparison.
+distribution comparison; no wall-clock (RTE stays on ``UnlearnResult``).
 
 The membership attack is a 1-D threshold stump on per-example cross-entropy
 losses; the threshold is chosen by exhaustive sweep over the observed values,
@@ -26,7 +26,6 @@ class MetricsReport:
     mia: float
     ra: float
     ta: float
-    rte_seconds: float = 0.0
     additional_mia: float | None = None
 
     @property
@@ -130,13 +129,12 @@ def streisand(model: Model, forget: LabeledDataset, test: LabeledDataset) -> dic
 
 
 def evaluate(model: Model, forget: LabeledDataset, retain: LabeledDataset,
-             test: LabeledDataset, rte_seconds: float = 0.0, seed: int = 0) -> MetricsReport:
+             test: LabeledDataset, seed: int = 0) -> MetricsReport:
     """Full metric bundle for one unlearned model."""
     return MetricsReport(
         ua=ua(model, forget),
         mia=mia_score(model, forget, retain, test, seed),
         ra=accuracy(model, retain),
         ta=accuracy(model, test),
-        rte_seconds=rte_seconds,
         additional_mia=mia_accuracy_additional(model, forget, test),
     )

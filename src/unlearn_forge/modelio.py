@@ -49,6 +49,8 @@ def load_model(path) -> Model:
         raise ConfigError(f"malformed model file {path}: {exc}") from exc
     if theta.size != count or count != n_params(kind, d, K, hidden):
         raise ConfigError(f"model file {path}: parameter count mismatch")
+    if len(lines) > 7 + count:
+        raise ConfigError(f"model file {path}: a line after the theta {count} parameters")
     if not np.isfinite(l2):
         raise ConfigError(f"model file {path}: l2 is {l2}, not finite")
     if l2 < 0:

@@ -422,49 +422,46 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
         raise UnsupportedModelError("newton_optimize requires the logistic model")
     X = np.asarray(X, dtype=np.float64)
     soft = np.asarray(soft, dtype=np.float64)
-    out = model.theta.reshape(-1, model.theta.shape[-1]).copy()
+    theta = model.theta.reshape(-1, model.theta.shape[-1]).copy()
+    S = len(theta)
     if X.shape[:-2] != model.theta.shape[:-1] or soft.shape[:-2] != model.theta.shape[:-1]:
         raise DimensionError(f"X {X.shape} and soft labels {soft.shape} do not hold one "
-                             f"problem for each of the {len(out)} parameter rows")
+                             f"problem for each of the {S} parameter rows")
     # the first loss checks the caller's own inputs; then they become an (S, ...) stack
-    f0 = np.ravel(ce_loss(model, X, soft))
-    X, soft = X.reshape((len(out),) + X.shape[-2:]), soft.reshape((len(out),) + soft.shape[-2:])
-    # the rows of ``out`` still stepping, with their inputs, parameters and losses
-    live = np.arange(len(out))
+    f = np.ravel(ce_loss(model, X, soft))
+    X, soft = X.reshape((S,) + X.shape[-2:]), soft.reshape((S,) + soft.shape[-2:])
+    # the problems still stepping; X and soft keep only their rows
+    live = np.arange(S)
 
-    def problem(i):  # names live row i in the errors of a stack of two or more
-        return f" (problem {live[i]})" if len(out) > 1 else ""
-    theta = out.copy()
+    def problem(s):  # names problem s in the errors of a stack of two or more
+        return f" (problem {s})" if S > 1 else ""
     for it in range(NEWTON_MAX_ITER + 1):
-        m = model._with(theta)
-        g = grad(m, X, soft)
+        g = grad(model._with(theta[live]), X, soft)
         g_norm = np.sqrt(row_dot(g))  # the bits of np.linalg.norm on each row
         done = g_norm <= NEWTON_TOL
+        if done.all():
+            return model._with(theta.reshape(model.theta.shape))
         if done.any():
-            out[live[done]] = theta[done]
             keep = ~done
-            if not keep.any():
-                return model._with(out.reshape(model.theta.shape))
-            live, theta, f0, g, g_norm = live[keep], theta[keep], f0[keep], g[keep], g_norm[keep]
-            X, soft = X[keep], soft[keep]
-            m = model._with(theta)
+            live, g, g_norm, X, soft = live[keep], g[keep], g_norm[keep], X[keep], soft[keep]
         if it == NEWTON_MAX_ITER:
             raise SolverError(f"newton_optimize: gradient norm {g_norm[0]:.3e} after {it} "
-                              f"iterations{problem(0)}")
-        step = solve_damped(hessian(m, X, soft), g, NEWTON_DAMPING)
-        # backtrack: ``todo`` indexes the rows that have not yet found a step
-        # size lowering their loss, and all of them are at the same size t
+                              f"iterations{problem(live[0])}")
+        step = solve_damped(hessian(model._with(theta[live]), X, soft), g, NEWTON_DAMPING)
+        # backtrack: ``todo`` indexes the live problems that have not yet found
+        # a step size lowering their loss, and all of them are at the same size t
         t = 1.0
         todo = np.arange(len(live))
         while True:
-            cand = theta[todo] - t * step[todo]
+            rows = live[todo]
+            cand = theta[rows] - t * step[todo]
             f_cand = ce_loss(model._with(cand), X[todo], soft[todo])
-            ok = f_cand <= f0[todo]
-            theta[todo[ok]], f0[todo[ok]] = cand[ok], f_cand[ok]
+            ok = f_cand <= f[rows]
+            theta[rows[ok]], f[rows[ok]] = cand[ok], f_cand[ok]
             todo = todo[~ok]
             if not todo.size:
                 break
             t *= 0.5
             if t <= 1e-8:
                 raise SolverError(f"newton_optimize: no descent step at gradient norm "
-                                  f"{g_norm[todo[0]]:.3e}{problem(todo[0])}")
+                                  f"{g_norm[todo[0]]:.3e}{problem(live[todo[0]])}")

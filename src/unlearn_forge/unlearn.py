@@ -71,10 +71,12 @@ def _lockstep(run):
     which returns the stacked model and one history per seed: it times the
     whole call and returns one result per seed, each charged an equal share
     of it; without ``seeds`` it runs ``cfg.seed`` alone and returns that one
-    result."""
+    result.  An empty ``seeds`` is a DomainError."""
     @functools.wraps(run)
     def method(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg, seeds=None):
         group = [cfg.seed] if seeds is None else list(seeds)
+        if not group:
+            raise DomainError("seeds is empty: a method runs at one seed or more")
         t0 = time.perf_counter()
         stacked, histories = run(model, ds, split, cfg, group)
         share = (time.perf_counter() - t0) / len(group)

@@ -159,6 +159,14 @@ class TestModelFile:
         with pytest.raises(ConfigError, match=re.escape(str(p)) + ".*truncated"):
             load_model(p)
 
+    @pytest.mark.parametrize("extra", ["0.5", ""], ids=["number", "blank"])
+    def test_line_after_the_parameters_rejected(self, tmp_path, extra):
+        p = tmp_path / "m.model"
+        save_model(models.init_model("logistic", 2, 2), p)
+        p.write_text(p.read_text() + extra + "\n")
+        with pytest.raises(ConfigError, match=re.escape(str(p)) + ".*theta 6"):
+            load_model(p)
+
     def test_non_finite_theta_exit_2(self, tmp_path, capsys):
         cfgp = write_cfg(tmp_path)
         p = tmp_path / "m.model"
@@ -358,7 +366,8 @@ class TestConfigErrors:
         ("theory.damping", "-1"), ("model.l2", "-5"), ("data.seed", "-2"), ("split.seed", "-1"),
         ("train.seed", "-1"), ("theory.seed", "-1"), ("theory.instances", "0"),
         ("theory.alpha_grid_points", "0"), ("theory.alpha_grid_min", "0"), ("data.k", "1"),
-        ("data.per_class", "1"), ("data.subgroups", "0"), ("data.spread", "-0.5")])
+        ("data.per_class", "1"), ("data.subgroups", "0"), ("data.spread", "-0.5"),
+        ("data.dim", "0"), ("model.hidden", "0")])
     def test_out_of_range_value_exit_2(self, tmp_path, capsys, key, value):
         cfgp = write_cfg(tmp_path, f"{key} = {value}\n")
         assert cli.main(["unlearn", "--config", cfgp, "--method", "ga"]) == 2
@@ -400,16 +409,6 @@ class TestInputErrors:
         monkeypatch.setattr(experiment, "build_datasets", fail)
         assert cli.main(["benchmark", "--config", write_cfg(tmp_path), "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("extra, message", [
-        ("data.dim = 0", "d >= 1"), ("data.dim = -1", "d >= 1"),
-        ("model.kind = mlp\nmodel.hidden = 0", "hidden >= 1"),
-        ("model.kind = mlp\nmodel.hidden = -1", "hidden >= 1")],
-        ids=["dim-0", "dim-negative", "hidden-0", "hidden-negative"])
-    def test_nonpositive_size_exit_3(self, tmp_path, capsys, extra, message):
-        assert cli.main(["unlearn", "--config", write_cfg(tmp_path, extra + "\n"),
-                         "--method", "ga"]) == 3
-        assert message in capsys.readouterr().err
 
     def test_model_shape_checked_against_data(self, tmp_path, capsys):
         model = tmp_path / "k4.model"

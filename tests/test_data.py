@@ -43,6 +43,11 @@ class TestGenBlobs:
         with pytest.raises(DomainError):
             data.gen_blobs(2, 10, 3, -1.0, 1, rng_stream(0, 0))
 
+    def test_zero_dimensions(self):
+        # the config rejects data.dim = 0 first; a library caller gets this
+        with pytest.raises(DomainError, match="d >= 1"):
+            data.gen_blobs(2, 10, 0, 1.0, 1, rng_stream(0, 0))
+
 
 class TestSplitClasswise:
     def test_counts(self):

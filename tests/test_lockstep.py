@@ -7,13 +7,15 @@ model kind and batch-size edge; the kernels must give each stacked row the
 bits of its 2-D call.
 """
 
+import itertools
 import json
+import statistics
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from unlearn_forge import data, experiment, models, smoothing, unlearn
+from unlearn_forge import cli, data, experiment, models, smoothing, unlearn
 from unlearn_forge.config import default_config
 from unlearn_forge.errors import DomainError
 from unlearn_forge.models import onehot
@@ -97,6 +99,49 @@ class TestLockstepEqualsSingleRuns:
         ucfg = unlearn.UnlearnConfig(method=method, epochs=1)
         results = unlearn.run_method(model, ds, split, ucfg, SEEDS)
         assert [r.rte_seconds for r in results] == [2.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("method", unlearn.METHODS)
+    def test_an_empty_seed_list_is_a_domain_error(self, method):
+        cfg = small_cfg()
+        ds, _, split, model = inputs(cfg)
+        ucfg = unlearn.UnlearnConfig(method=method, epochs=1)
+        with pytest.raises(DomainError, match="seeds"):
+            unlearn.run_method(model, ds, split, ucfg, [])
+
+
+class TestWallClock:
+    # one group of three seeds, or one group per seed (so the shares differ)
+    @pytest.mark.parametrize("entries", [experiment.GROUP_ENTRIES, 1],
+                             ids=["one-group", "group-per-seed"])
+    def test_rte_is_the_one_key_the_clock_changes(self, monkeypatch, entries):
+        monkeypatch.setattr(experiment, "GROUP_ENTRIES", entries)
+        run_method = unlearn.run_method
+        results = []
+
+        def spy(model, ds, split, ucfg, seeds):
+            out = run_method(model, ds, split, ucfg, seeds)
+            results.extend((ucfg.method, r) for r in out)
+            return out
+        monkeypatch.setattr(unlearn, "run_method", spy)
+        reports = []
+        for scale in (1.0, 2.5):
+            ticks = (scale * k * k for k in itertools.count())
+            monkeypatch.setattr(unlearn, "time",
+                                SimpleNamespace(perf_counter=lambda: next(ticks)))
+            results.clear()
+            report = experiment.run_benchmark(small_cfg(), SEEDS)
+            for m in report["methods"]:
+                shares = [r.rte_seconds for name, r in results if name == m]
+                assert len(shares) == len(SEEDS)
+                assert report["rte_seconds"][m] == (statistics.fmean(shares),
+                                                    statistics.stdev(shares))
+                assert "rte_seconds" not in report["summary"][m]
+            reports.append(report)
+        a, b = reports
+        assert a["rte_seconds"] != b["rte_seconds"]
+        assert ({k: v for k, v in a.items() if k != "rte_seconds"}
+                == {k: v for k, v in b.items() if k != "rte_seconds"})
+        assert cli._machine_report(a) == cli._machine_report(b)
 
 
 class TestStackedKernels:
