@@ -7,14 +7,17 @@ a usage error (exit 2).  Log level via UNLEARN_FORGE_LOG.
 
 Exit codes: 0 success, 2 config error, 3 domain error, 4 solver error.
 
-The machine-readable benchmark report deliberately excludes wall-clock
-timings so that identical (config, seeds) runs produce byte-identical
-files; timings appear in the human-readable table.
+The report commands (benchmark, verify-theory, ldp) share one output rule
+(see ``_emit``).  The machine benchmark report excludes wall-clock timings,
+so identical (config, seeds) runs produce byte-identical files; timings
+appear in the table.  ``unlearn --model FILE`` unlearns FILE's model, whose
+kind decides which methods may run.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -61,25 +64,30 @@ def benchmark_table(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _machine_report(report: dict) -> str:
-    """Deterministic JSON: the report without its one wall-clock key."""
-    doc = {k: v for k, v in report.items() if k != "rte_seconds"}
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+def _machine_report(report: dict) -> dict:
+    """The benchmark report without its one wall-clock key."""
+    return {k: v for k, v in report.items() if k != "rte_seconds"}
 
 
-def _write_or_print(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
+def _emit(args, doc: dict, table: str):
+    """The one output rule of the report commands: ``doc``'s JSON goes to
+    ``--out`` when it is given, else to stdout under ``--format machine``;
+    under ``--format table`` stdout gets ``table``, with or without ``--out``."""
+    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
-    else:
+    elif args.format == "machine":
         sys.stdout.write(text)
+    if args.format == "table":
+        sys.stdout.write(table + "\n")
 
 
 def _load_cfg(args) -> dict:
     cfg = parse_config(args.config) if args.config else default_config()
     if getattr(args, "seed", None) is not None:
         cfg["seeds"] = str(args.seed)
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         cfg["seeds"] = args.seeds
     return cfg
 
@@ -107,7 +115,11 @@ def cmd_train(args) -> int:
 
 def cmd_unlearn(args) -> int:
     cfg = _load_cfg(args)
-    method = check_method(cfg, args.method, "--method") if args.method else methods(cfg)[0]
+    model = load_model(args.model) if args.model else None
+    kind = ((cfg["model.kind"], "model.kind") if model is None
+            else (model.kind, f"the model in {args.model}"))
+    method = (check_method(args.method, "--method", *kind) if args.method
+              else methods(cfg, *kind)[0])
     seeds = parse_seeds(cfg["seeds"])
     seed = seeds[0]
     if len(seeds) > 1:
@@ -115,13 +127,11 @@ def cmd_unlearn(args) -> int:
               f"the first ({seed}); pick it with --seed", file=sys.stderr)
     ds, test = build_datasets(cfg)
     split, eval_test = build_split(cfg, ds, test)
-    if args.model:
-        model = load_model(args.model)
-        if (model.d, model.K) != (ds.d, ds.K):
-            raise ConfigError(f"model {args.model} has (d, K) = ({model.d}, {model.K}), "
-                              f"the data has ({ds.d}, {ds.K})")
-    else:
+    if model is None:
         model = train_original(cfg, ds)
+    elif (model.d, model.K) != (ds.d, ds.K):
+        raise ConfigError(f"model {args.model} has (d, K) = ({model.d}, {model.K}), "
+                          f"the data has ({ds.d}, {ds.K})")
     result, report = run_cell(cfg, method, seed, ds, eval_test, split, model)
     if args.out:
         save_model(result.model, args.out)
@@ -132,41 +142,27 @@ def cmd_unlearn(args) -> int:
 def cmd_benchmark(args) -> int:
     cfg = _load_cfg(args)
     report = run_benchmark(cfg, parse_seeds(cfg["seeds"]), jobs=args.jobs)
-    if args.format == "machine" or args.out:
-        _write_or_print(_machine_report(report), args.out)
-    if args.format == "table":
-        sys.stdout.write(benchmark_table(report) + "\n")
+    _emit(args, _machine_report(report), benchmark_table(report))
     return 0
 
 
 def cmd_verify_theory(args) -> int:
-    cfg = _load_cfg(args)
-    report = run_verify_theory(cfg)
-    if args.format == "machine" or args.out:
-        _write_or_print(json.dumps(report, sort_keys=True, indent=1) + "\n", args.out)
-        if args.out:
-            print(f"wrote theory report for {report['summary']['count']} instances to {args.out}")
-    else:
-        s = report["summary"]
-        print(f"instances: {s['count']}")
-        print(f"exists ga_cannot_help: {s['exists_ga_cannot_help']}")
-        print(f"exists ga_helps:       {s['exists_ga_helps']}")
-        print(f"fraction inner<=0:     {s['fraction_inner_nonpositive']:.2f}")
+    report = run_verify_theory(_load_cfg(args))
+    s = report["summary"]
+    _emit(args, report, f"instances: {s['count']}\n"
+                        f"exists ga_cannot_help: {s['exists_ga_cannot_help']}\n"
+                        f"exists ga_helps:       {s['exists_ga_helps']}\n"
+                        f"fraction inner<=0:     {s['fraction_inner_nonpositive']:.2f}")
     return 0
 
 
 def cmd_ldp(args) -> int:
     params = privacy.LdpParams(K=args.k, alpha=args.alpha, gamma1=args.gamma1, gamma2=args.gamma2)
     report = privacy.verify_ratio_bound(params)
-    doc = {"K": args.k, "alpha": args.alpha, "gamma1": args.gamma1, "gamma2": args.gamma2,
-           "epsilon": report.epsilon, "p_target": report.p_target, "p_other": report.p_other,
-           "empirical_max_log_ratio": report.empirical_max_log_ratio}
-    if args.format == "machine" or args.out:
-        _write_or_print(json.dumps(doc, sort_keys=True, indent=1) + "\n", args.out)
-    else:
-        print(f"epsilon = {report.epsilon:.6g}")
-        print(f"p_target = {report.p_target:.6g}, p_other = {report.p_other:.6g}")
-        print(f"empirical max log ratio = {report.empirical_max_log_ratio:.6g}")
+    _emit(args, {**dataclasses.asdict(params), **dataclasses.asdict(report)},
+          f"epsilon = {report.epsilon:.6g}\n"
+          f"p_target = {report.p_target:.6g}, p_other = {report.p_other:.6g}\n"
+          f"empirical max log ratio = {report.empirical_max_log_ratio:.6g}")
     return 0
 
 

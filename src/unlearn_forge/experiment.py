@@ -39,6 +39,8 @@ CELL_FIELDS = ("ua", "mia", "ra", "ta", "sum", "additional_mia")
 # same budget, counted another way (see ``theory_groups``).  Neither count
 # bounds a group's memory: it sizes the groups.
 GROUP_ENTRIES = 2 ** 16
+# (classes, rows per class, features) of every verify-theory instance
+_THEORY_SHAPE = (3, 30, 3)
 # TheoryReport fields of one verify-theory row
 THEORY_FIELDS = ("dist_ga", "dist_noop", "inner", "ga_cannot_help", "condition_met",
                  "best_alpha", "dist_gls_at_best_alpha", "closed_form_alpha",
@@ -76,6 +78,11 @@ def build_split(cfg: dict, ds: data.LabeledDataset,
             ids = [int(g) for g in cfg["split.groups"].split(",") if g.strip() != ""]
         except ValueError as exc:
             raise ConfigError(f"split.groups: {exc}") from exc
+        if not ids:
+            raise ConfigError("split.groups names no group for split.paradigm = group")
+        unknown = [] if ds.groups is None else sorted(set(ids) - set(ds.groups.tolist()))
+        if unknown:
+            raise ConfigError(f"split.groups names group ids {unknown} the data lacks")
         return data.split_group(ds, ids), test
     raise ConfigError(f"unknown paradigm {paradigm!r}")
 
@@ -89,31 +96,38 @@ def train_original(cfg: dict, ds: data.LabeledDataset) -> models.Model:
     return trained
 
 
-def methods(cfg: dict) -> list[str]:
+def methods(cfg: dict, kind: str | None = None, kind_source: str = "model.kind") -> list[str]:
     """The names in ``unlearn.methods``, in order; at least one, all known,
-    and each able to run on ``model.kind``."""
+    and each able to run on a ``kind`` model (by default ``model.kind``'s)."""
     names = [m.strip() for m in cfg["unlearn.methods"].split(",") if m.strip()]
     if not names:
         raise ConfigError("unlearn.methods names no method")
-    return [check_method(cfg, m, "unlearn.methods") for m in names]
+    return [check_method(m, "unlearn.methods", kind or cfg["model.kind"], kind_source)
+            for m in names]
 
 
-def check_method(cfg: dict, name: str, source: str) -> str:
-    """``name``, once it is a known method able to run on ``model.kind``;
-    the ConfigError otherwise names ``source``, where the name came from."""
+def check_method(name: str, source: str, kind: str, kind_source: str) -> str:
+    """``name``, once it is a known method able to run on a ``kind`` model;
+    the ConfigError otherwise names ``source``, where the name came from,
+    and ``kind_source``, where the kind did."""
     if name not in unlearn.METHODS:
         raise ConfigError(f"unknown method {name!r} in {source}")
-    if name == "iu" and cfg["model.kind"] != "logistic":
-        raise ConfigError(f"{source} names iu, which needs the exact Hessian of "
-                          f"model.kind = logistic, not {cfg['model.kind']!r}")
+    if name == "iu" and kind != "logistic":
+        raise ConfigError(f"{source} names iu, which needs the exact Hessian of a logistic "
+                          f"model, and {kind_source} is {kind!r}")
     return name
 
 
+def _groups(items, entries_per_item: int) -> list:
+    """``items`` in order, cut into lockstep groups of at most
+    ``GROUP_ENTRIES`` stacked entries each (and at least one item)."""
+    size = max(1, GROUP_ENTRIES // entries_per_item)
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
 def seed_groups(ds: data.LabeledDataset, seeds: list[int]) -> list[list[int]]:
-    """``seeds`` in order, cut into lockstep groups of at most
-    ``GROUP_ENTRIES`` stacked entries each (and at least one seed)."""
-    size = max(1, GROUP_ENTRIES // (ds.n * (ds.d + ds.K)))
-    return [seeds[i:i + size] for i in range(0, len(seeds), size)]
+    """``_groups`` of ``seeds``, each counting rows x (d + K) training entries."""
+    return _groups(seeds, ds.n * (ds.d + ds.K))
 
 
 def _each_alone_on_failure(run, items: list) -> list:
@@ -139,7 +153,7 @@ def run_cells(cfg: dict, method: str, seeds: list[int], ds: data.LabeledDataset,
     sched = "train" if method == "retrain" else "unlearn"
     ucfg = unlearn.UnlearnConfig(method=method, epochs=cfg[f"{sched}.epochs"],
                                  lr=cfg[f"{sched}.lr"], p=cfg["unlearn.p"],
-                                 batch_size=cfg[f"{sched}.batch_size"], seed=seeds[0],
+                                 batch_size=cfg[f"{sched}.batch_size"],
                                  damping=cfg["unlearn.damping"], smoothing=policy)
     results = _each_alone_on_failure(
         lambda group: unlearn.run_method(model, ds, split, ucfg, group), seeds)
@@ -220,12 +234,17 @@ def run_verify_theory(cfg: dict) -> dict:
     """Theorem checks over seeded convex instances.
 
     Consecutive instances are solved in lockstep groups (see
-    ``theory_groups`` and ``theory_rows``), with the rows and errors of
-    solving them one at a time."""
+    ``theory_groups`` and ``_each_alone_on_failure``), with the rows and
+    errors of solving them one at a time."""
     validate(cfg)
     n_inst = cfg["theory.instances"]
     grid = np.linspace(cfg["theory.alpha_grid_min"], -1e-6, cfg["theory.alpha_grid_points"])
-    rows = [row for group in theory_groups(cfg) for row in theory_rows(cfg, group, grid)]
+    rows = []
+    for group in theory_groups(cfg):
+        indices, problems = zip(*group)
+        done = _each_alone_on_failure(lambda ps: theory_instances(cfg, ps, grid), list(problems))
+        rows += [{"instance": i, **{f: getattr(rep, f) for f in THEORY_FIELDS}}
+                 for i, (rep, *_) in zip(indices, done)]
     return {
         "tool_version": __version__,
         "config": cfg,
@@ -240,46 +259,28 @@ def run_verify_theory(cfg: dict) -> dict:
     }
 
 
-def theory_rows(cfg: dict, group: list, grid: np.ndarray) -> list[dict]:
-    """The verify-theory rows of one ``theory_groups`` group, solved in
-    lockstep on its data (see ``_each_alone_on_failure``)."""
-    indices, problems = zip(*group)
-    done = _each_alone_on_failure(lambda ps: theory_instances(cfg, ps, grid), list(problems))
-    return [{"instance": i, **{f: getattr(rep, f) for f in THEORY_FIELDS}}
-            for i, (rep, *_) in zip(indices, done)]
-
-
 def theory_data(cfg: dict, index: int):
     """The data of convex instance ``index``: blobs and a random forget
     split, as (ds, retain, forget)."""
     rng = rng_stream(cfg["theory.seed"], 100 + index)
-    K = 3
-    d = 3
+    K, per_class, d = _THEORY_SHAPE
     spread = float(rng.uniform(0.6, 3.0))
-    ds = data.gen_blobs(K, 30, d, spread, 1, rng)
+    ds = data.gen_blobs(K, per_class, d, spread, 1, rng)
     split = data.split_random(ds, 0.2, rng)
     return ds, ds.subset(split.retain_idx), ds.subset(split.forget_idx)
 
 
 def theory_groups(cfg: dict):
-    """Every instance's ``theory_data`` in index order, yielded as lists of
-    (index, data) pairs: runs of consecutive instances (all of one shape)
-    with at most ``GROUP_ENTRIES`` stacked entries each (and at least one
-    instance).  An instance counts 2 n K (d+1) entries, its slice of the
-    stacked Hessian's B and S * B arrays.  The probabilities, augmented rows,
-    stacked data and Newton's live-row copies come on top: at 30 instances
-    of 90 rows, d = K = 3, the tracemalloc peak of a group is 968 KiB in its
-    stacked Newton and 1,058 KiB in its stacked theorem check, about twice
-    the 512 KiB budget.  Data is built as groups are taken, so one group's
-    is held at a time."""
-    group = []
-    for i in range(cfg["theory.instances"]):
-        ds, retain, forget = theory_data(cfg, i)
-        if len(group) >= max(1, GROUP_ENTRIES // (2 * ds.n * ds.K * (ds.d + 1))):
-            yield group
-            group = []
-        group.append((i, (ds, retain, forget)))
-    yield group
+    """Every instance's ``theory_data`` in index order, cut by ``_groups``
+    into lists of (index, data) pairs; data is built as groups are taken, so
+    one group's is held at a time.  An instance counts 2 n K (d+1) entries,
+    its slice of the stacked Hessian's B and S * B arrays; probabilities and
+    stacked copies come on top: at 30 instances of ``_THEORY_SHAPE`` a group's
+    tracemalloc peak is 968 KiB in its stacked Newton and 1,058 KiB in its
+    stacked theorem check, about twice the 512 KiB budget."""
+    K, per_class, d = _THEORY_SHAPE
+    for group in _groups(range(cfg["theory.instances"]), 2 * K * per_class * K * (d + 1)):
+        yield [(i, theory_data(cfg, i)) for i in group]
 
 
 def theory_instances(cfg: dict, problems: list, grid: np.ndarray) -> list[tuple]:

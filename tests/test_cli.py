@@ -5,13 +5,14 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unlearn_forge import cli, data, experiment, models
+from unlearn_forge import cli, data, experiment, models, unlearn
 from unlearn_forge.config import SCHEMA, default_config, parse_config, parse_seeds
 from unlearn_forge.errors import ConfigError
 from unlearn_forge.modelio import load_model, save_model
@@ -422,6 +423,60 @@ class TestInputErrors:
         assert captured.out == ""
         assert "(5, 4)" in captured.err and "(5, 3)" in captured.err
 
+    def test_empty_seeds_flag_exit_2_before_work(self, tmp_path, capsys, monkeypatch):
+        def fail(*_):
+            raise AssertionError("called before --seeds was checked")
+        monkeypatch.setattr(experiment, "build_datasets", fail)
+        assert cli.main(["benchmark", "--config", write_cfg(tmp_path), "--seeds", ""]) == 2
+        assert "seed list '' names no seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["unlearn", "benchmark"])
+    @pytest.mark.parametrize("groups, names", [("", []), ("0,99", ["[99]"])],
+                             ids=["empty", "unknown"])
+    def test_group_ids_exit_2_before_training(self, tmp_path, capsys, monkeypatch, command,
+                                              groups, names):
+        def fail(*_):
+            raise AssertionError("trained before split.groups was checked")
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "train_original", fail)
+        cfgp = write_cfg(tmp_path, f"split.paradigm = group\nsplit.groups = {groups}\n")
+        assert cli.main([command, "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in ["split.groups", *names])
+
+
+class TestModelFileKind:
+    """``unlearn --model`` checks its methods against the file's model kind."""
+    @staticmethod
+    def model_file(tmp_path, kind):
+        path = tmp_path / f"{kind}.model"
+        assert cli.main(["train", "--config", write_cfg(tmp_path, f"model.kind = {kind}\n"),
+                         "--out", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("argv, source", [(["--method", "iu"], "--method"),
+                                              ([], "unlearn.methods")], ids=["flag", "config"])
+    def test_iu_on_an_mlp_file_exit_2_before_work(self, tmp_path, capsys, monkeypatch, argv,
+                                                  source):
+        path = self.model_file(tmp_path, "mlp")
+        cfgp = write_cfg(tmp_path, "unlearn.methods = ga,iu\n")
+
+        def fail(*_):
+            raise AssertionError("built data before the method was checked")
+        monkeypatch.setattr(cli, "build_datasets", fail)
+        capsys.readouterr()
+        assert cli.main(["unlearn", "--config", cfgp, "--model", path] + argv) == 2
+        err = capsys.readouterr().err
+        assert source in err and path in err and "'mlp'" in err
+
+    @pytest.mark.parametrize("argv", [["--method", "iu"], []], ids=["flag", "config"])
+    def test_iu_on_a_logistic_file_runs_under_an_mlp_config(self, tmp_path, capsys, argv):
+        path = self.model_file(tmp_path, "logistic")
+        cfgp = write_cfg(tmp_path, "model.kind = mlp\nunlearn.methods = iu,ga\nseeds = 0\n")
+        capsys.readouterr()
+        assert cli.main(["unlearn", "--config", cfgp, "--model", path] + argv) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "iu"
+
 
 # the whole command-line surface: each subcommand and the flags it reads
 SURFACE = {
@@ -486,6 +541,42 @@ class TestUnlearnSeeds:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert json.loads(captured.out)["seed"] == 1
+
+
+class TestReportOutput:
+    """One output rule for the report commands: the JSON goes to ``--out``
+    when given, else to stdout under ``--format machine``; ``--format table``
+    prints the table, with or without ``--out``."""
+    @staticmethod
+    def argv(tmp_path, command):
+        if command == "ldp":
+            return ["ldp", *LDP_ARGS]
+        if command == "benchmark":
+            return ["benchmark", "--config", write_cfg(tmp_path), "--seeds", "0"]
+        cfgp = tmp_path / "theory.cfg"
+        cfgp.write_text("theory.instances = 3\ntheory.alpha_grid_points = 51\n")
+        return ["verify-theory", "--config", str(cfgp)]
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("fmt", ["table", "machine"])
+    @pytest.mark.parametrize("command", ["benchmark", "verify-theory", "ldp"])
+    def test_one_rule_for_every_report_command(self, tmp_path, capsys, monkeypatch, command,
+                                               fmt, out):
+        # a frozen clock, so the benchmark table's RTE column reads the same each run
+        monkeypatch.setattr(unlearn, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        argv = self.argv(tmp_path, command)
+
+        def stdout(*flags):
+            assert cli.main(argv + list(flags)) == 0
+            return capsys.readouterr().out
+        machine, table = stdout("--format", "machine"), stdout("--format", "table")
+        json.loads(machine)
+        assert table and not table.startswith("{")
+        path = tmp_path / "report.json"
+        printed = stdout("--format", fmt, *(["--out", str(path)] if out else []))
+        if out:
+            assert path.read_bytes() == machine.encode()
+        assert printed == (table if fmt == "table" else "" if out else machine)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
