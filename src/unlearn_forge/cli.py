@@ -5,7 +5,10 @@ Subcommands: gen-data, train, unlearn, benchmark, verify-theory, ldp.  Each
 takes only the flags it reads, as ``COMMANDS`` lists them; any other flag is
 a usage error (exit 2).  Log level via UNLEARN_FORGE_LOG.
 
-Exit codes: 0 success, 2 config error, 3 domain error, 4 solver error.
+Exit codes: 0 success, 2 config error, 3 domain error, 4 solver error.  A
+file that cannot be opened is a config error naming the flag or key that gave
+its path; an ``--out`` path with no directory to write in is refused before
+any work starts.
 
 The report commands (benchmark, verify-theory, ldp) share one output rule
 (see ``_emit``).  The machine benchmark report excludes wall-clock timings,
@@ -24,7 +27,7 @@ import os
 import sys
 
 from . import __version__, data, metrics, privacy, unlearn
-from .config import default_config, parse_config, parse_seeds
+from .config import default_config, file_named_by, parse_config, parse_seeds
 from .errors import ConfigError, SolverError, UnlearnForgeError
 from .experiment import (build_datasets, build_split, cell_record, check_method, methods,
                          run_benchmark, run_cell, run_verify_theory, train_original)
@@ -75,7 +78,7 @@ def _emit(args, doc: dict, table: str):
     under ``--format table`` stdout gets ``table``, with or without ``--out``."""
     text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with file_named_by("--out", args.out), open(args.out, "w") as fh:
             fh.write(text)
     elif args.format == "machine":
         sys.stdout.write(text)
@@ -83,8 +86,21 @@ def _emit(args, doc: dict, table: str):
         sys.stdout.write(table + "\n")
 
 
+def _check_out(path: str):
+    """Refuses an ``--out`` path that cannot be written, before any work."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"--out {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path}: is a directory")
+
+
 def _load_cfg(args) -> dict:
-    cfg = parse_config(args.config) if args.config else default_config()
+    if not args.config:
+        cfg = default_config()
+    else:
+        with file_named_by("--config", args.config):
+            cfg = parse_config(args.config)
     if getattr(args, "seed", None) is not None:
         cfg["seeds"] = str(args.seed)
     if getattr(args, "seeds", None) is not None:
@@ -96,7 +112,8 @@ def cmd_gen_data(args) -> int:
     if not args.out:
         raise ConfigError("gen-data requires --out")
     ds, _ = build_datasets(_load_cfg(args))
-    data.save_dataset(ds, args.out)
+    with file_named_by("--out", args.out):
+        data.save_dataset(ds, args.out)
     print(f"wrote {ds.n} rows ({ds.K} classes, dim {ds.d}) to {args.out}")
     return 0
 
@@ -107,7 +124,8 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     ds, _ = build_datasets(cfg)
     model = train_original(cfg, ds)
-    save_model(model, args.out)
+    with file_named_by("--out", args.out):
+        save_model(model, args.out)
     acc = metrics.accuracy(model, ds)
     print(f"trained {model.kind} model, train accuracy {acc:.2f}, saved to {args.out}")
     return 0
@@ -115,7 +133,10 @@ def cmd_train(args) -> int:
 
 def cmd_unlearn(args) -> int:
     cfg = _load_cfg(args)
-    model = load_model(args.model) if args.model else None
+    model = None
+    if args.model:
+        with file_named_by("--model", args.model):
+            model = load_model(args.model)
     kind = ((cfg["model.kind"], "model.kind") if model is None
             else (model.kind, f"the model in {args.model}"))
     method = (check_method(args.method, "--method", *kind) if args.method
@@ -134,7 +155,8 @@ def cmd_unlearn(args) -> int:
                           f"the data has ({ds.d}, {ds.K})")
     result, report = run_cell(cfg, method, seed, ds, eval_test, split, model)
     if args.out:
-        save_model(result.model, args.out)
+        with file_named_by("--out", args.out):
+            save_model(result.model, args.out)
     print(json.dumps(cell_record(method, seed, report), sort_keys=True))
     return 0
 
@@ -217,6 +239,8 @@ def main(argv=None) -> int:
     try:
         _setup_logging()
         args = build_parser().parse_args(argv)
+        if args.out:  # every command takes --out
+            _check_out(args.out)
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

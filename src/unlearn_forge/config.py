@@ -7,6 +7,7 @@ config dict built in code gets the same checks from ``validate``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from numbers import Integral, Real
 
 from .errors import ConfigError
@@ -117,6 +118,20 @@ def parse_config(path) -> dict:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             cfg[key] = _coerce(key, raw, lineno)
     return cfg
+
+
+@contextmanager
+def file_named_by(source: str, path):
+    """Runs the block, turning an error from the file at ``path`` (missing, a
+    directory, not writable, not UTF-8 text, ...) into a ConfigError naming
+    ``source``, the flag or key that gave the path, and the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{source} {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{source} {path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from exc
 
 
 def parse_seeds(spec: str) -> list[int]:

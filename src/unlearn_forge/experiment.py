@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__, data, influence, metrics, models, unlearn
-from .config import validate
+from .config import file_named_by, validate
 from .errors import ConfigError, UnlearnForgeError
 from .numcore import rng_stream
 from .smoothing import SmoothingPolicy
@@ -52,7 +52,8 @@ def build_datasets(cfg: dict) -> tuple[data.LabeledDataset, data.LabeledDataset]
     from ``data.file`` when set; test drawn from a disjoint RNG stream."""
     K = cfg["data.k"]
     if cfg["data.file"]:
-        ds = data.load_dataset(cfg["data.file"], K)
+        with file_named_by("data.file", cfg["data.file"]):
+            ds = data.load_dataset(cfg["data.file"], K)
     else:
         ds = data.gen_blobs(K, cfg["data.per_class"], cfg["data.dim"], cfg["data.spread"],
                             cfg["data.subgroups"], rng_stream(cfg["data.seed"], 10))
@@ -80,7 +81,10 @@ def build_split(cfg: dict, ds: data.LabeledDataset,
             raise ConfigError(f"split.groups: {exc}") from exc
         if not ids:
             raise ConfigError("split.groups names no group for split.paradigm = group")
-        unknown = [] if ds.groups is None else sorted(set(ids) - set(ds.groups.tolist()))
+        if ds.groups is None:
+            raise ConfigError(f"split.groups needs group ids, and data.file {cfg['data.file']} "
+                              f"has no group column")
+        unknown = sorted(set(ids) - set(ds.groups.tolist()))
         if unknown:
             raise ConfigError(f"split.groups names group ids {unknown} the data lacks")
         return data.split_group(ds, ids), test

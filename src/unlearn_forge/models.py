@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, SolverError, UnsupportedModelError
-from .numcore import rng_stream, row_dot, softmax_rows, solve_damped
+from .numcore import rng_stream, row_dot, row_sum, softmax_rows, solve_damped
 
 log = logging.getLogger("unlearn_forge")
 
@@ -197,7 +197,7 @@ def _check_soft(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     soft = np.asarray(soft, dtype=np.float64)
     if soft.shape[-2:] != (X.shape[-2], model.K):
         raise DimensionError(f"soft labels have shape {soft.shape}, expected ({X.shape[-2]}, {model.K})")
-    sums = soft.sum(axis=-1)
+    sums = row_sum(soft)
     off = np.abs(sums - 1.0)
     # every row summing to 1 is the common case: one max decides it (a NaN sum
     # fails it and goes on to the full test)
@@ -224,7 +224,7 @@ def ce_loss(model: Model, X: np.ndarray, soft: np.ndarray) -> float | np.ndarray
     logp *= soft
     # the row mean as np.mean computes it (sum, then divide by the count),
     # without its per-call Python overhead
-    data = -(logp.sum(axis=-1).sum(axis=-1) / X.shape[-2]) if X.shape[-2] else 0.0
+    data = -(row_sum(logp).sum(axis=-1) / X.shape[-2]) if X.shape[-2] else 0.0
     loss = data + 0.5 * model.l2 * row_dot(model.theta)
     return float(loss) if loss.ndim == 0 else loss
 
@@ -241,7 +241,7 @@ def _grad(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     if n == 0:
         return model.l2 * model.theta.copy()
     dlogits = forward(model, X)
-    dlogits *= soft.sum(axis=-1, keepdims=True)
+    dlogits *= row_sum(soft)[..., None]
     dlogits -= soft
     dlogits /= n
     # each block of the gradient is written straight into its view of g
@@ -296,7 +296,7 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
         return np.broadcast_to(model.l2 * np.eye(P), lead + (P, P)).copy()
     p = forward(model, X)
     lead = p.shape[:-2]
-    S = soft.sum(axis=-1)
+    S = row_sum(soft)
     m = d + 1
     Xt = np.empty(X.shape[:-1] + (m,))
     Xt[..., :d] = X

@@ -1,9 +1,14 @@
-"""Dense 64-bit numerics: damped solves, stable softmax and seeded RNG
-streams.
+"""Dense 64-bit numerics: damped solves, stable softmax, reductions over the
+last (class) axis and seeded RNG streams.
 
 All arrays are plain numpy float64; matrices are row-major 2-D arrays and
 vectors are 1-D arrays, or stacks of them along leading axes where a
 function says so.
+
+``row_max`` and ``row_sum`` reduce the last axis with the bits of numpy's
+``max``/``sum(axis=-1)``.  numpy reduces a short last axis one row at a time,
+its slowest loop; below ``PAIRWISE_BLOCK`` entries the two helpers instead
+make one elementwise pass per column over all rows at once.
 """
 
 from __future__ import annotations
@@ -13,6 +18,10 @@ import numpy as np
 from .errors import DimensionError, DomainError, SolverError
 
 DEFAULT_DAMPING = 1e-3
+# numpy's pairwise-summation block: it sums a row shorter than this left to
+# right from 0.0, so column passes in that order give its bits; a longer row
+# it adds in 8 partial sums, an order the column passes do not follow
+PAIRWISE_BLOCK = 8
 
 
 def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -65,12 +74,38 @@ def row_dot(v: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
+def row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1)``, bit for bit; below ``PAIRWISE_BLOCK`` columns as
+    one ``np.maximum`` pass per column (a max is exact in any order).  Wider
+    rows keep numpy's loop, which beats the passes on few rows."""
+    K = a.shape[-1]
+    if not 0 < K < PAIRWISE_BLOCK:
+        return a.max(axis=-1)
+    m = a[..., 0].copy()
+    for k in range(1, K):
+        np.maximum(m, a[..., k], out=m)
+    return m
+
+
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)``, bit for bit; below ``PAIRWISE_BLOCK`` columns as
+    numpy sums such a row, ``0.0 + a[..., 0] + a[..., 1] + ...``, one pass
+    per column."""
+    K = a.shape[-1]
+    if not 0 < K < PAIRWISE_BLOCK:
+        return a.sum(axis=-1)
+    s = 0.0 + a[..., 0]
+    for k in range(1, K):
+        s += a[..., k]
+    return s
+
+
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-shift; rows sum to 1 within 1e-12."""
     logits = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(logits).all():
         raise DomainError("logits must be finite")
-    e = logits - logits.max(axis=-1, keepdims=True)
+    e = logits - row_max(logits)[..., None]
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= row_sum(e)[..., None]
     return e

@@ -643,3 +643,80 @@ class TestTypedExitCodes:
             code, err = run_cli(["verify-theory", "--config", str(path)])
         assert code == 4
         assert err.startswith("error: solver: newton_optimize: gradient norm ")
+
+
+def forbid_work(monkeypatch):
+    """Make every command's work raise, so a test can show it stopped first."""
+    def fail(*_, **__):
+        raise AssertionError("work started before the paths were checked")
+    for name in ("build_datasets", "run_benchmark", "run_verify_theory", "train_original"):
+        monkeypatch.setattr(cli, name, fail)
+    monkeypatch.setattr(cli.privacy, "verify_ratio_bound", fail)
+
+
+class TestFileErrors:
+    """A file that cannot be opened is exit 2, naming the flag or key that
+    gave its path and the path; a bad ``--out`` is refused before any work."""
+    @pytest.mark.parametrize("source", ["--config", "data.file", "--model"])
+    def test_missing_input_file_exit_2(self, tmp_path, capsys, source):
+        missing = str(tmp_path / "no-such-file")
+        if source == "--config":
+            argv = ["benchmark", "--config", missing]
+        elif source == "data.file":
+            argv = ["benchmark", "--config", write_cfg(tmp_path, f"data.file = {missing}\n")]
+        else:
+            argv = ["unlearn", "--config", write_cfg(tmp_path), "--seed", "0", "--model", missing]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {source} {missing}: ")
+
+    @pytest.mark.parametrize("source", ["--config", "data.file", "--model"])
+    def test_input_file_not_utf8_exit_2(self, tmp_path, capsys, source):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"data.k = 3\n\xff\xfe = 2\n")
+        if source == "--config":
+            argv = ["benchmark", "--config", str(binary)]
+        elif source == "data.file":
+            argv = ["benchmark", "--config", write_cfg(tmp_path, f"data.file = {binary}\n")]
+        else:
+            argv = ["unlearn", "--config", write_cfg(tmp_path), "--seed", "0", "--model", str(binary)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {source} {binary}: not UTF-8 text (")
+
+    @pytest.mark.parametrize("command", list(SURFACE))
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    def test_bad_out_exit_2_before_work(self, tmp_path, capsys, monkeypatch, command, where):
+        forbid_work(monkeypatch)
+        out = str(tmp_path / "missing" / "report.json") if where == "missing-dir" else str(tmp_path)
+        base = ["ldp", *LDP_ARGS] if command == "ldp" else [command, "--config", write_cfg(tmp_path)]
+        assert cli.main(base + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: --out {out}: ")
+
+    def test_out_write_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        out = str(tmp_path / "u.model")
+
+        def refuse(_model, path):
+            raise PermissionError(13, "Permission denied", path)
+        monkeypatch.setattr(cli, "save_model", refuse)
+        assert cli.main(["unlearn", "--config", write_cfg(tmp_path), "--seed", "0",
+                         "--method", "ga", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: config: --out {out}: Permission denied\n"
+
+    @pytest.mark.parametrize("command", ["unlearn", "benchmark"])
+    def test_group_split_on_a_csv_without_groups_exit_2_before_training(
+            self, tmp_path, capsys, monkeypatch, command):
+        csv = tmp_path / "rows.csv"
+        ds = data.gen_blobs(2, 10, 3, 1.0, 2, np.random.default_rng(0))
+        data.save_dataset(data.LabeledDataset(ds.X, ds.y, ds.K), csv)
+
+        def fail(*_):
+            raise AssertionError("trained before the group ids were checked")
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "train_original", fail)
+        cfgp = write_cfg(tmp_path, f"data.file = {csv}\ndata.k = 2\ndata.dim = 3\n"
+                                   "split.paradigm = group\nsplit.groups = 0\n")
+        assert cli.main([command, "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert "error: config: split.groups " in err and f"data.file {csv} " in err

@@ -17,7 +17,7 @@ from oracles import ce_loss_ref, check_soft_ref, grad_ref, hessian_ref, softmax_
 from unlearn_forge import models, smoothing
 from unlearn_forge.errors import DimensionError, DomainError
 from unlearn_forge.models import onehot
-from unlearn_forge.numcore import softmax_rows
+from unlearn_forge.numcore import row_max, row_sum, softmax_rows
 
 ROWS = (0, 1, 31, 32, 33, 1025)
 CLASSES = (2, 3, 10)
@@ -179,3 +179,100 @@ class TestCheckSoft:
         soft[1] = [bad, 1.0, 0.0]
         with pytest.raises(DomainError):
             models._check_soft(m, np.zeros((3, 2)), soft)
+
+
+def same_reduction(got, expected) -> bool:
+    """``same_bits``, except that a NaN matches any NaN."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    nan = np.isnan(expected)
+    return (got.shape == expected.shape and got.dtype == expected.dtype
+            and (np.isnan(got) == nan).all() and same_bits(got[~nan], expected[~nan]))
+
+
+def reduction_input(seed, shape, fill):
+    """Entries of both signs over sixteen decades; ``zero_rows`` makes about
+    a third of the rows all 0.0 or all -0.0, ``specials`` sprinkles ±0.0,
+    ±inf and NaN entries."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    if fill == "zero_rows":
+        rows = rng.random(shape[:-1]) < 1 / 3
+        a[rows] = rng.choice([0.0, -0.0], size=(rows.sum(), 1))
+    elif fill == "specials":
+        hit = rng.random(shape) < 0.3
+        a[hit] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=hit.sum())
+    return a
+
+
+# (n, K) and (S, n, K) row layouts, empty ones included
+REDUCTION_SHAPES = ((0,), (1,), (33,), (3, 0), (3, 17))
+
+
+class TestRowReductions:
+    """``row_max``/``row_sum`` have the bits of numpy's ``max``/``sum(axis=-1)``
+    on both sides of the pairwise block: column passes below it, numpy's own
+    reduction from it on."""
+    @pytest.mark.parametrize("fill", ["mixed", "zero_rows", "specials"])
+    @pytest.mark.parametrize("K", range(1, 17))
+    def test_equal_numpy_reductions(self, K, fill):
+        for i, lead in enumerate(REDUCTION_SHAPES):
+            a = reduction_input(100 * K + i, lead + (K,), fill)
+            for layout in (a, np.asfortranarray(a)):
+                before = layout.copy()
+                with np.errstate(invalid="ignore"):  # inf - inf in a row sum
+                    got_max, got_sum = row_max(layout), row_sum(layout)
+                    want_sum = layout.sum(axis=-1)
+                assert same_reduction(got_max, layout.max(axis=-1))
+                assert same_reduction(got_sum, want_sum)
+                assert same_bits(layout, before)
+                assert not np.shares_memory(got_max, layout)
+                assert not np.shares_memory(got_sum, layout)
+
+    @pytest.mark.parametrize("K", range(1, 8))
+    def test_signed_zero_rows(self, K):
+        for row in ([-0.0] * K, [0.0] * K, [-0.0, 0.0] * K, [0.0, -0.0] * K):
+            a = np.array([row[:K]])
+            assert same_bits(row_max(a), a.max(axis=-1))
+            assert same_bits(row_sum(a), a.sum(axis=-1))
+
+
+STACK_CLASSES = (2, 3, 5, 7, 8, 10)
+
+
+def stacked_instances(seed, S, n, K, labels, kind):
+    """S ``instance`` draws of one shape as a model with an (S, P) theta
+    stack, (S, n, d) rows and (S, n, K) soft labels, and the 2-D instances."""
+    parts = [instance(seed + s, n, K, labels, kind=kind, scale=3.0) for s in range(S)]
+    ms, Xs, softs = zip(*parts)
+    stack = ms[0].with_stack(np.stack([m.theta for m in ms]))
+    return stack, np.stack(Xs), np.stack(softs), parts
+
+
+class TestStackedBitForBit:
+    """Each slice of a stacked kernel call has its 2-D oracle's bits, for
+    class counts on both sides of the pairwise block."""
+    @pytest.mark.parametrize("K", STACK_CLASSES)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from((0, 1, 33)),
+           labels=st.sampled_from(LABELS))
+    @settings(max_examples=10, deadline=None)
+    def test_logistic_kernels(self, K, seed, n, labels):
+        stack, X, soft, parts = stacked_instances(seed, 3, n, K, labels, "logistic")
+        probs = softmax_rows(models.logits(stack, X))
+        loss, g, H = (models.ce_loss(stack, X, soft), models.grad(stack, X, soft),
+                      models.hessian(stack, X, soft))
+        for s, (m, Xs, soft_s) in enumerate(parts):
+            assert same_bits(probs[s], softmax_rows_ref(models.logits(m, Xs)))
+            assert same_bits(loss[s], ce_loss_ref(m, Xs, soft_s))
+            assert same_bits(g[s], grad_ref(m, Xs, soft_s))
+            assert same_bits(H[s], hessian_ref(m, Xs, soft_s))
+
+    @pytest.mark.parametrize("K", STACK_CLASSES)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from((0, 1, 33)),
+           labels=st.sampled_from(LABELS))
+    @settings(max_examples=5, deadline=None)
+    def test_mlp_kernels(self, K, seed, n, labels):
+        stack, X, soft, parts = stacked_instances(seed, 3, n, K, labels, "mlp")
+        loss, g = models.ce_loss(stack, X, soft), models.grad(stack, X, soft)
+        for s, (m, Xs, soft_s) in enumerate(parts):
+            assert same_bits(loss[s], ce_loss_ref(m, Xs, soft_s))
+            assert same_bits(g[s], grad_ref(m, Xs, soft_s))
