@@ -27,7 +27,7 @@ import os
 import sys
 
 from . import __version__, data, metrics, privacy, unlearn
-from .config import default_config, file_named_by, parse_config, parse_seeds
+from .config import default_config, file_named_by, parse_config, parse_seeds, validate
 from .errors import ConfigError, SolverError, UnlearnForgeError
 from .experiment import (build_datasets, build_split, cell_record, check_method, methods,
                          run_benchmark, run_cell, run_verify_theory, train_original)
@@ -105,7 +105,7 @@ def _load_cfg(args) -> dict:
         cfg["seeds"] = str(args.seed)
     if getattr(args, "seeds", None) is not None:
         cfg["seeds"] = args.seeds
-    return cfg
+    return validate(cfg)
 
 
 def cmd_gen_data(args) -> int:

@@ -2,7 +2,10 @@
 
 Unknown keys are rejected with the offending line named; command-line flags
 override file values.  The full schema with defaults is in ``SCHEMA``.  A
-config dict built in code gets the same checks from ``validate``.
+config dict built in code gets the same checks from ``validate``, which also
+checks that ``model.kind`` and ``smooth.mode`` name a kind ``models.Model``
+and a mode ``smoothing.SmoothingPolicy`` accept; those two classes hold the
+lists.
 """
 
 from __future__ import annotations
@@ -10,7 +13,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from numbers import Integral, Real
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .models import init_model
+from .smoothing import SmoothingPolicy
 
 # key -> (type, default, domain or None).  A domain is an interval in the
 # usual notation, "[" / "]" closed and "(" / ")" open at that end, e.g.
@@ -88,8 +93,8 @@ _ACCEPTS = {int: Integral, float: Real, str: str}
 
 def validate(cfg: dict) -> dict:
     """``cfg``, once it holds every key of ``SCHEMA`` and no other, each
-    value of its key's type and inside its domain; a ConfigError names the
-    first key that does not."""
+    value of its key's type and inside its domain, and ``model.kind`` and
+    ``smooth.mode`` known; a ConfigError names the first key that is not."""
     for key, value in cfg.items():
         if key not in SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
@@ -100,6 +105,12 @@ def validate(cfg: dict) -> dict:
     missing = [key for key in SCHEMA if key not in cfg]
     if missing:
         raise ConfigError(f"missing key {missing[0]!r}")
+    for key, build in (("model.kind", lambda: init_model(cfg["model.kind"], 1, 2)),
+                       ("smooth.mode", lambda: SmoothingPolicy(mode=cfg["smooth.mode"]))):
+        try:
+            build()
+        except DomainError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from exc
     return cfg
 
 

@@ -101,11 +101,15 @@ def train_original(cfg: dict, ds: data.LabeledDataset) -> models.Model:
 
 
 def methods(cfg: dict, kind: str | None = None, kind_source: str = "model.kind") -> list[str]:
-    """The names in ``unlearn.methods``, in order; at least one, all known,
-    and each able to run on a ``kind`` model (by default ``model.kind``'s)."""
+    """The names in ``unlearn.methods``, in order; at least one, each known,
+    named once and able to run on a ``kind`` model (by default
+    ``model.kind``'s)."""
     names = [m.strip() for m in cfg["unlearn.methods"].split(",") if m.strip()]
     if not names:
         raise ConfigError("unlearn.methods names no method")
+    repeated = [m for i, m in enumerate(names) if m in names[:i]]
+    if repeated:
+        raise ConfigError(f"unlearn.methods names {repeated[0]!r} more than once")
     return [check_method(m, "unlearn.methods", kind or cfg["model.kind"], kind_source)
             for m in names]
 

@@ -19,6 +19,9 @@ seed.  A single run is the S = 1 case.  Each caller prepares an epoch's
 batches once, from that epoch's shuffled orders, and the loop then steps
 through them with only the parameter-dependent gradient left per step.  The
 loop owns one ``Model`` per call and steps its parameter stack in place.
+It records each epoch's loss with ``ce_loss`` on the rows it is given and
+decides divergence once per epoch, from that loss and the epoch's errors: a
+run that blows up raises one DomainError naming the run and the epoch.
 
 The kernels (``logits``, ``forward``, ``ce_loss``, ``grad``, ``hessian``)
 take leading axes by broadcasting: a ``theta`` of shape (S, P) and rows of
@@ -342,7 +345,7 @@ def _hessian_index(K: int, d: int):
     return (rows, cols), reorder
 
 
-def minibatch_sgd(model: Model, n: int, cfg, rngs, epoch_grad, epoch_loss,
+def minibatch_sgd(model: Model, n: int, cfg, rngs, epoch_grad, loss_rows,
                   name: str) -> tuple[Model, list[list[float]]]:
     """Step the (S, P) parameter stack ``model.theta`` in lockstep, run s
     drawing its shuffles from ``rngs[s]``.
@@ -352,26 +355,38 @@ def minibatch_sgd(model: Model, n: int, cfg, rngs, epoch_grad, epoch_loss,
     run, and returns ``batch_grad(model_at_theta, lo, hi)``, the (S, P)
     gradients on the rows ``orders[:, lo:hi]``.  Then step
     ``theta -= cfg.lr * batch_grad(...)`` over the ``cfg.batch_size`` slices
-    of the orders and record ``epoch_loss(model_at_theta)``, the S losses.
-    Both get the call's one model, whose theta is stepped in place, so neither
-    may keep it past the call.  Ascent closures return the negated gradient.
-    Returns the stepped model and one loss history per run.  Raises
-    DomainError naming ``name`` once any run's theta or loss is not finite."""
+    of the orders and record the S losses ``ce_loss`` gives on ``loss_rows``,
+    an ``(X, soft labels)`` pair.  ``batch_grad`` gets the call's one model,
+    whose theta is stepped in place, so it may not keep it past the call.
+    Ascent closures return the negated gradient.  Returns the stepped model
+    and one loss history per run.
+
+    Divergence is decided once per epoch: a DomainError from the epoch's
+    steps or its loss (``softmax_rows`` refusing logits that overflowed), or
+    a loss that is not finite, raises one DomainError naming ``name`` and the
+    epoch.  Its reason is "parameters are no longer finite" whenever theta
+    is not.  That names the epoch a check after every step would: an entry
+    that is not finite stays so for the rest of the epoch (inf - x is inf,
+    nan stays nan), and the epoch's loss is then not finite either, since
+    its l2 term ``0.5 * l2 * theta . theta`` is inf for l2 > 0 and
+    0 * inf = nan for l2 = 0."""
     theta = model.theta.copy()
     model = model.with_theta(theta)  # this call's own model, stepped in place
+    X, labels = loss_rows
     losses = []
     for epoch in range(1, cfg.epochs + 1):
         batch_grad = epoch_grad(np.stack([rng.permutation(n) for rng in rngs]))
-        for lo in range(0, n, cfg.batch_size):
-            theta -= cfg.lr * batch_grad(model, lo, lo + cfg.batch_size)
-            if not np.isfinite(theta).all():
-                raise DomainError(f"{name} diverged in epoch {epoch}: parameters are no longer finite")
-        del batch_grad  # the epoch's batches go before the next epoch's are built
-        loss = epoch_loss(model)
+        try:
+            for lo in range(0, n, cfg.batch_size):
+                theta -= cfg.lr * batch_grad(model, lo, lo + cfg.batch_size)
+            del batch_grad  # the epoch's batches go before the next epoch's are built
+            loss = ce_loss(model, X, labels)
+            if not np.isfinite(loss).all():
+                raise DomainError(f"loss is {float(loss[~np.isfinite(loss)][0])}")
+        except DomainError as exc:
+            reason = exc if np.isfinite(theta).all() else "parameters are no longer finite"
+            raise DomainError(f"{name} diverged in epoch {epoch}: {reason}") from exc
         losses.append(loss)
-        if not np.isfinite(loss).all():
-            raise DomainError(f"{name} diverged in epoch {epoch}: "
-                              f"loss is {float(loss[~np.isfinite(loss)][0])}")
     return model, np.reshape(losses, (cfg.epochs, len(theta))).T.tolist()
 
 
@@ -397,8 +412,8 @@ def sgd_train(model: Model, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
         Xo = X[orders]
         So = labels[orders] if labels.ndim == 2 else np.take_along_axis(labels, orders[..., None], 1)
         return lambda m, lo, hi: _grad(m, Xo[:, lo:hi], So[:, lo:hi])
-    trained, history = minibatch_sgd(model, X.shape[0], cfg, rng, epoch_grad,
-                                     lambda m: ce_loss(m, X, labels), "sgd_train")
+    trained, history = minibatch_sgd(model, X.shape[0], cfg, rng, epoch_grad, (X, labels),
+                                     "sgd_train")
     return (trained.with_stack(trained.theta[0]), history[0]) if single else (trained, history)
 
 
@@ -427,7 +442,8 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
     if X.shape[:-2] != model.theta.shape[:-1] or soft.shape[:-2] != model.theta.shape[:-1]:
         raise DimensionError(f"X {X.shape} and soft labels {soft.shape} do not hold one "
                              f"problem for each of the {S} parameter rows")
-    # the first loss checks the caller's own inputs; then they become an (S, ...) stack
+    # the first loss checks the caller's own inputs, so the gradients skip the
+    # checks; then the inputs become an (S, ...) stack
     f = np.ravel(ce_loss(model, X, soft))
     X, soft = X.reshape((S,) + X.shape[-2:]), soft.reshape((S,) + soft.shape[-2:])
     # the problems still stepping; X and soft keep only their rows
@@ -436,7 +452,7 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
     def problem(s):  # names problem s in the errors of a stack of two or more
         return f" (problem {s})" if S > 1 else ""
     for it in range(NEWTON_MAX_ITER + 1):
-        g = grad(model._with(theta[live]), X, soft)
+        g = _grad(model._with(theta[live]), X, soft)
         g_norm = np.sqrt(row_dot(g))  # the bits of np.linalg.norm on each row
         done = g_norm <= NEWTON_TOL
         if done.all():

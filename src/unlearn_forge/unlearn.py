@@ -127,7 +127,7 @@ def gradient_ascent(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: U
         return lambda m, lo, hi: -models._grad(m, Xo[:, lo:hi], So[:, lo:hi])
     return models.minibatch_sgd(_stack(model, seeds), forget.n, cfg,
                                 [rng_stream(s, 2) for s in seeds], epoch_grad,
-                                lambda m: models.ce_loss(m, forget.X, labels), "ga")
+                                (forget.X, labels), "ga")
 
 
 @_lockstep
@@ -183,8 +183,7 @@ def _ugradsl_run(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: Unle
         return lambda m, lo, hi: smoothing.mixed_grad(m, Xr[:, lo:hi], yr[:, lo:hi], Xf[:, lo:hi],
                                                       soft_f[:, lo:hi], cfg.p)
     return models.minibatch_sgd(_stack(model, seeds), drive_n, cfg, rngs, epoch_grad,
-                                lambda m: models.ce_loss(m, forget.X, labels),
-                                "ugradsl_plus" if retain_driven else "ugradsl")
+                                (forget.X, labels), "ugradsl_plus" if retain_driven else "ugradsl")
 
 
 @_lockstep

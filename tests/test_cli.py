@@ -720,3 +720,43 @@ class TestFileErrors:
         assert cli.main([command, "--config", cfgp]) == 2
         err = capsys.readouterr().err
         assert "error: config: split.groups " in err and f"data.file {csv} " in err
+
+
+class TestConfigChecksBeforeWork:
+    """A repeated method and an unknown model kind or smoothing mode are
+    configuration errors naming the key, raised before any data is built."""
+    @staticmethod
+    def no_work(monkeypatch):
+        def fail(*_):
+            raise AssertionError("built data before the config was checked")
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "build_datasets", fail)
+            monkeypatch.setattr(module, "train_original", fail)
+
+    @pytest.mark.parametrize("command", ["unlearn", "benchmark"])
+    def test_method_named_twice_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        self.no_work(monkeypatch)
+        cfgp = write_cfg(tmp_path, "unlearn.methods = ga, ga\n")
+        assert cli.main([command, "--config", cfgp]) == 2
+        assert "unlearn.methods names 'ga' more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["unlearn --method ga", "unlearn", "benchmark", "train"])
+    @pytest.mark.parametrize("key", ["smooth.mode", "model.kind"])
+    def test_unknown_choice_exit_2(self, tmp_path, capsys, monkeypatch, command, key):
+        self.no_work(monkeypatch)
+        argv = command.split() + ["--config", write_cfg(tmp_path, f"{key} = foo\n")]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "m.model")]
+        assert cli.main(argv) == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+
+    def test_unknown_kind_is_named_before_the_iu_rule(self, tmp_path, capsys):
+        cfgp = write_cfg(tmp_path, "model.kind = foo\nunlearn.methods = ga,iu\n")
+        assert cli.main(["unlearn", "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert "unknown model kind 'foo'" in err and "iu" not in err
+
+    def test_unknown_paradigm_exit_2(self, tmp_path, capsys):
+        cfgp = write_cfg(tmp_path, "split.paradigm = foo\n")
+        assert cli.main(["unlearn", "--config", cfgp, "--method", "ga"]) == 2
+        assert "unknown paradigm 'foo'" in capsys.readouterr().err

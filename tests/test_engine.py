@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
-from unlearn_forge import cli, data, models, smoothing, unlearn
+from unlearn_forge import cli, data, experiment, models, smoothing, unlearn
+from unlearn_forge.config import default_config
 from unlearn_forge.errors import DomainError
 from unlearn_forge.models import TrainConfig, onehot
 from unlearn_forge.numcore import rng_stream
@@ -190,3 +191,70 @@ class TestDivergence:
                      "unlearn.lr = 1e306\n")
         assert cli.main(["unlearn", "--config", str(p), "--method", "ugradsl"]) == 3
         assert "ugradsl diverged in epoch 1" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOneDivergenceRule:
+    """The engine decides divergence once per epoch and names it once, for
+    parameters, logits and loss alike."""
+    @pytest.mark.parametrize("method", ["ugradsl", "ugradsl_plus"])
+    def test_overflowing_logits_name_the_method(self, method):
+        # on the default config's data a step at lr = 1e307 leaves theta
+        # finite and the next step's logits overflow
+        cfg = {**default_config(), "unlearn.lr": 1e307}
+        ds, test = experiment.build_datasets(cfg)
+        split, eval_test = experiment.build_split(cfg, ds, test)
+        trained = experiment.train_original(cfg, ds)
+        with pytest.raises(DomainError, match=rf"^{method} diverged in epoch 1: logits must be finite$"):
+            experiment.run_cell(cfg, method, 0, ds, eval_test, split, trained)
+
+    @pytest.mark.parametrize("method", ["ga", "ugradsl", "ugradsl_plus"])
+    def test_cli_names_method_and_epoch_at_lr_1e307(self, tmp_path, capsys, method):
+        p = tmp_path / "diverge.cfg"
+        p.write_text("unlearn.lr = 1e307\n")
+        assert cli.main(["unlearn", "--config", str(p), "--method", method]) == 3
+        assert f"error: domain: {method} diverged in epoch 1: " in capsys.readouterr().err
+
+    def test_train_on_a_huge_row_names_sgd_train(self, tmp_path, capsys):
+        csv = tmp_path / "huge.csv"
+        csv.write_text("f0,f1,label\n0.5,1.0,0\n1e160,1e160,1\n-0.3,0.2,0\n0.9,-1,1\n")
+        p = tmp_path / "huge.cfg"
+        p.write_text(f"data.file = {csv}\ndata.k = 2\n")
+        assert cli.main(["train", "--config", str(p), "--out", str(tmp_path / "m.model")]) == 3
+        assert "sgd_train diverged in epoch 1: logits must be finite" in capsys.readouterr().err
+
+    @staticmethod
+    def run_engine(l2, step_grad, epochs=2):
+        """``minibatch_sgd`` on a stack of 3 runs of a d = 2, K = 2 logistic
+        model, 6 rows in batches of 2, each step taking ``step_grad(S, P)``;
+        its loss rows are empty, so each loss is the l2 term alone."""
+        template = models.init_model("logistic", 2, 2, l2=l2)
+        model = template.with_stack(np.zeros((3, template.theta.size)))
+        cfg = TrainConfig(epochs=epochs, batch_size=2, lr=0.5)
+        rngs = [rng_stream(s, 0) for s in range(3)]
+
+        def epoch_grad(orders):
+            return lambda m, lo, hi: step_grad(*m.theta.shape)
+        return models.minibatch_sgd(model, 6, cfg, rngs, epoch_grad,
+                                    (np.zeros((0, 2)), np.zeros((0, 2))), "engine")
+
+    @pytest.mark.parametrize("l2", [1e-2, 0.0])
+    def test_infinite_gradient_of_one_run(self, l2):
+        def step_grad(S, P):
+            g = np.zeros((S, P))
+            g[1, 0] = np.inf
+            return g
+        with pytest.raises(DomainError,
+                           match=r"^engine diverged in epoch 1: parameters are no longer finite$"):
+            self.run_engine(l2, step_grad)
+
+    def test_finite_parameters_with_an_overflowing_loss(self):
+        # theta reaches 1.5e200 per entry: finite, but theta . theta overflows
+        with pytest.raises(DomainError, match=r"^engine diverged in epoch 1: loss is inf$"):
+            self.run_engine(1e-2, lambda S, P: np.full((S, P), -1e200))
+
+    def test_history_is_the_loss_on_the_given_rows(self):
+        _, history = self.run_engine(1e-2, lambda S, P: np.full((S, P), -1.0), epochs=3)
+        # after epoch e each of the 6 entries is 1.5 e, so the l2 term is 0.5 l2 6 (1.5 e)^2
+        expected = [0.5 * 1e-2 * 6 * (1.5 * e) ** 2 for e in (1, 2, 3)]
+        assert history == [pytest.approx(expected, rel=1e-15)] * 3

@@ -136,3 +136,17 @@ class TestValidate:
         cfg = {**default_config(), "unlearn.p": 1, "train.epochs": np.int64(4),
                "smooth.beta": np.float64(0.25)}
         assert config.validate(cfg) is cfg
+
+
+@pytest.mark.parametrize("spec, name", [("ga,ga", "'ga'"), ("retrain, iu,retrain", "'retrain'")])
+def test_method_named_twice_is_config_error(spec, name):
+    cfg = default_config()
+    cfg["unlearn.methods"] = spec
+    with pytest.raises(ConfigError, match=rf"unlearn.methods names {name} more than once"):
+        experiment.methods(cfg)
+
+
+@pytest.mark.parametrize("key", ["model.kind", "smooth.mode"])
+def test_unknown_choice_is_config_error_naming_key(key):
+    with pytest.raises(ConfigError, match=rf"key '{key}': unknown .* 'foo'"):
+        config.validate({**default_config(), key: "foo"})
