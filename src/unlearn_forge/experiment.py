@@ -153,8 +153,8 @@ def run_cells(cfg: dict, method: str, seeds: list[int], ds: data.LabeledDataset,
               test: data.LabeledDataset, split: data.ForgetSplit,
               model: models.Model) -> list[tuple[unlearn.UnlearnResult, metrics.MetricsReport]]:
     """Unlearn ``split`` from ``model`` with one method at each of ``seeds``,
-    in lockstep (see ``_each_alone_on_failure``), and evaluate each result on
-    the forget, retain and test sets."""
+    in lockstep (see ``_each_alone_on_failure``), and evaluate the results on
+    the forget, retain and test sets in one stacked ``metrics.evaluate``."""
     policy = SmoothingPolicy(mode=cfg["smooth.mode"], alpha=cfg["smooth.alpha"],
                              beta=cfg["smooth.beta"])
     # retrain reruns the original training schedule; the others run the unlearning one
@@ -166,8 +166,8 @@ def run_cells(cfg: dict, method: str, seeds: list[int], ds: data.LabeledDataset,
     results = _each_alone_on_failure(
         lambda group: unlearn.run_method(model, ds, split, ucfg, group), seeds)
     forget, retain = ds.subset(split.forget_idx), ds.subset(split.retain_idx)
-    return [(r, metrics.evaluate(r.model, forget, retain, test, seed=s))
-            for s, r in zip(seeds, results)]
+    stack = model.with_stack(np.stack([r.model.theta for r in results]))
+    return list(zip(results, metrics.evaluate(stack, forget, retain, test, seeds)))
 
 
 def run_cell(cfg: dict, method: str, seed: int, ds: data.LabeledDataset,

@@ -4,7 +4,8 @@ distribution comparison; no wall-clock (RTE stays on ``UnlearnResult``).
 
 The membership attack is a 1-D threshold stump on per-example cross-entropy
 losses; the threshold is chosen by exhaustive sweep over the observed values,
-so scores depend only on the ordering of the losses.
+so scores depend only on the ordering of the losses.  ``evaluate`` scores a
+seed group's models together, with one forward per set.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import models
 from .data import LabeledDataset
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .models import Model
 from .numcore import rng_stream
 
@@ -35,8 +36,13 @@ class MetricsReport:
 
 def example_losses(model: Model, ds: LabeledDataset) -> np.ndarray:
     """Per-example cross-entropy of the true label (no l2 term)."""
-    p = models.forward(model, ds.X)
-    picked = p[np.arange(ds.n), ds.y]
+    return _label_losses(models.forward(model, ds.X), ds.y)
+
+
+def _label_losses(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``example_losses`` from the probabilities ``p`` of the rows labelled
+    ``y``, over p's leading axes."""
+    picked = p[..., np.arange(len(y)), y]
     return -np.log(np.maximum(picked, 1e-300))
 
 
@@ -69,34 +75,41 @@ def _best_threshold(member_losses: np.ndarray, nonmember_losses: np.ndarray) -> 
 
 
 def mia_score(model: Model, forget: LabeledDataset, retain: LabeledDataset,
-              test: LabeledDataset, seed: int = 0) -> float:
+              test: LabeledDataset, seed: int = 0, losses=None) -> float:
     """True-negative rate of the loss-threshold attack on the forget rows.
 
     The threshold is fit on a seeded half of the retain rows (members) vs
     the test rows (non-members); the score is the percentage of forget rows
-    the attack calls non-member.  Higher means better forgotten.
+    the attack calls non-member.  Higher means better forgotten.  ``losses``
+    are ``model``'s ``example_losses`` on (forget, retain, test) when the
+    caller has them; otherwise they are computed here.
     """
     if forget.n == 0 or retain.n == 0 or test.n == 0:
         raise DomainError("empty dataset")
+    forget_losses, retain_losses, test_losses = losses or (
+        example_losses(model, ds) for ds in (forget, retain, test))
     rng = rng_stream(seed, 5)
     half = max(1, retain.n // 2)
     member_idx = rng.choice(retain.n, size=half, replace=False)
-    member_losses = example_losses(model, retain.subset(member_idx))
-    nonmember_losses = example_losses(model, test)
-    tau = _best_threshold(member_losses, nonmember_losses)
-    forget_losses = example_losses(model, forget)
+    # a row's probabilities do not depend on the rows computed with it, so
+    # the members' losses are those of their rows in the whole retain set
+    tau = _best_threshold(retain_losses[member_idx], test_losses)
     return 100.0 * float(np.mean(forget_losses > tau))
 
 
-def mia_accuracy_additional(model: Model, forget: LabeledDataset, test: LabeledDataset) -> float:
+def mia_accuracy_additional(model: Model, forget: LabeledDataset, test: LabeledDataset,
+                            losses=None) -> float:
     """Balanced seen-vs-unseen attack accuracy (TP + TN) / (|D_f| + |D_te|).
 
     Forget rows count as seen; the sweep tries both threshold orientations
-    and reports the best achievable raw accuracy.
+    and reports the best achievable raw accuracy.  ``losses`` are
+    ``model``'s ``example_losses`` on (forget, test) when the caller has
+    them; otherwise they are computed here.
     """
     if forget.n == 0 or test.n == 0:
         raise DomainError("empty dataset")
-    _, correct = _sweep(example_losses(model, forget), example_losses(model, test))
+    forget_losses, test_losses = losses or (example_losses(model, ds) for ds in (forget, test))
+    _, correct = _sweep(forget_losses, test_losses)
     n = forget.n + test.n
     return 100.0 * float(np.maximum(correct, n - correct).max() / n)
 
@@ -128,13 +141,36 @@ def streisand(model: Model, forget: LabeledDataset, test: LabeledDataset) -> dic
     }
 
 
-def evaluate(model: Model, forget: LabeledDataset, retain: LabeledDataset,
-             test: LabeledDataset, seed: int = 0) -> MetricsReport:
-    """Full metric bundle for one unlearned model."""
-    return MetricsReport(
-        ua=ua(model, forget),
-        mia=mia_score(model, forget, retain, test, seed),
-        ra=accuracy(model, retain),
-        ta=accuracy(model, test),
-        additional_mia=mia_accuracy_additional(model, forget, test),
-    )
+def evaluate(model: Model, forget: LabeledDataset, retain: LabeledDataset, test: LabeledDataset,
+             seed: int | list[int] = 0) -> MetricsReport | list[MetricsReport]:
+    """Full metric bundle for one unlearned model.
+
+    In lockstep form ``model.theta`` is an (S, P) stack and ``seed`` a list
+    of S seeds, and the result is one report per row, each the bits of that
+    row's own call.  Either way one ``forward`` per set gives every row's
+    probabilities, from which the accuracies and the attacks' per-example
+    losses are taken; the attacks then run once per row."""
+    if forget.n == 0 or retain.n == 0 or test.n == 0:
+        raise DomainError("empty dataset")
+    single = model.theta.ndim == 1
+    stack = model.with_stack(model.theta[None]) if single else model
+    seeds = [seed] if single else list(seed)
+    if len(seeds) != len(stack.theta):
+        raise DimensionError(f"{len(seeds)} seeds for {len(stack.theta)} models")
+    sets = (forget, retain, test)
+    probs = [models.forward(stack, ds.X) for ds in sets]
+    hits = [np.argmax(p, axis=-1) == ds.y for p, ds in zip(probs, sets)]
+    losses = [_label_losses(p, ds.y) for p, ds in zip(probs, sets)]
+    reports = []
+    for s, row_seed in enumerate(seeds):
+        row = stack.with_stack(stack.theta[s])
+        forget_acc, ra, ta = (100.0 * float(np.mean(h[s])) for h in hits)
+        lf, lr, lt = (l[s] for l in losses)
+        reports.append(MetricsReport(
+            ua=100.0 - forget_acc,
+            mia=mia_score(row, forget, retain, test, row_seed, losses=(lf, lr, lt)),
+            ra=ra,
+            ta=ta,
+            additional_mia=mia_accuracy_additional(row, forget, test, losses=(lf, lt)),
+        ))
+    return reports[0] if single else reports

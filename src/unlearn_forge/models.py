@@ -37,7 +37,10 @@ the S = 1 case.
 The kernels are called thousands of times on batches of a few dozen rows, so
 they reuse their own temporaries (``out=``, in-place updates) wherever that
 leaves every floating-point operation as it was; the results are bit for bit
-those of the plain expressions.
+those of the plain expressions.  The fixed costs of a step are paid once per
+run: a model keeps the views of theta that ``logits`` multiplies by, the
+engine's callers write each gradient into one buffer per run, and a gradient
+on one-hot labels skips the scaling by their row sums, all exactly 1.0.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ log = logging.getLogger("unlearn_forge")
 
 _P_FLOOR = 1e-300
 _SUM_TOL = 1e-9 + 1e-5  # soft-label row sums must lie within this of 1
+_VIEWS = "_logit_views"  # where a Model keeps ``_logit_views`` of its theta
 
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 200
@@ -102,10 +106,16 @@ class Model:
         return self._with(theta)
 
     def _with(self, theta: np.ndarray) -> "Model":
-        """This model with the float64 ``theta``, unchecked."""
+        """This model with the float64 ``theta``, unchecked; ``_logit_views``
+        of this theta stay behind."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, theta=theta)
+        new.__dict__.pop(_VIEWS, None)
         return new
+
+    def __getstate__(self):
+        # a copy or another process builds the views of its own theta
+        return {k: v for k, v in self.__dict__.items() if k != _VIEWS}
 
 
 @dataclass(frozen=True)
@@ -141,18 +151,20 @@ def init_model(kind: str, d: int, K: int, l2: float = 1e-2, hidden: int = 16,
     return Model(kind=kind, theta=theta, d=d, K=K, l2=l2, hidden=h)
 
 
-# Views of theta's blocks, with theta's leading axes in front of each block's
-# shape; the weight matrices are views too, so a kernel may write into them.
-def _unpack_logistic(model: Model):
-    t, K, d = model.theta, model.K, model.d
+# Views of the blocks of theta, or of ``t``, an array of theta's layout such
+# as a gradient, with its leading axes in front of each block's shape; the
+# weight matrices are views too, so a kernel may write into them.
+def _unpack_logistic(model: Model, t: np.ndarray | None = None):
+    t = model.theta if t is None else t
+    K, d = model.K, model.d
     W = t[..., : K * d].reshape(t.shape[:-1] + (K, d))
     b = t[..., K * d:]
     return W, b
 
 
-def _unpack_mlp(model: Model):
+def _unpack_mlp(model: Model, t: np.ndarray | None = None):
     d, K, h = model.d, model.K, model.hidden
-    t = model.theta
+    t = model.theta if t is None else t
     lead = t.shape[:-1]
     i = 0
     W1 = t[..., i:i + h * d].reshape(lead + (h, d)); i += h * d
@@ -162,17 +174,36 @@ def _unpack_mlp(model: Model):
     return W1, b1, W2, b2
 
 
+def _logit_views(model: Model) -> tuple:
+    """The views of theta that ``logits`` multiplies by: (W^T, b[..., None, :])
+    for a logistic model, (W1^T, b1[..., None, :], W2, W2^T, b2[..., None, :])
+    for an mlp.  They are kept on the model with the theta array they view,
+    and rebuilt only for another array, so a run that steps one model's theta
+    in place builds them once."""
+    kept = model.__dict__.get(_VIEWS)
+    if kept is not None and kept[0] is model.theta:
+        return kept[1]
+    if model.kind == "logistic":
+        W, b = _unpack_logistic(model)
+        views = (W.swapaxes(-1, -2), b[..., None, :])
+    else:
+        W1, b1, W2, b2 = _unpack_mlp(model)
+        views = (W1.swapaxes(-1, -2), b1[..., None, :], W2, W2.swapaxes(-1, -2), b2[..., None, :])
+    model.__dict__[_VIEWS] = (model.theta, views)
+    return views
+
+
 def logits(model: Model, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim < 2 or X.shape[-1] != model.d:
         raise DimensionError(f"X has shape {X.shape}, expected (n, {model.d})")
     if model.kind == "logistic":
-        W, b = _unpack_logistic(model)
-        Z = X @ W.swapaxes(-1, -2)
+        W_T, b = _logit_views(model)
+        Z = X @ W_T
     else:
-        W1, b1, W2, b = _unpack_mlp(model)
-        Z = np.tanh(X @ W1.swapaxes(-1, -2) + b1[..., None, :]) @ W2.swapaxes(-1, -2)
-    Z += b[..., None, :]
+        W1_T, b1, _, W2_T, b = _logit_views(model)
+        Z = np.tanh(X @ W1_T + b1) @ W2_T
+    Z += b
     return Z
 
 
@@ -197,6 +228,11 @@ def onehot(y: np.ndarray, K: int) -> np.ndarray:
 
 
 def _check_soft(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
+    return _checked_sums(model, X, soft)[0]
+
+
+def _checked_sums(model: Model, X: np.ndarray, soft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checked soft labels and their row sums."""
     soft = np.asarray(soft, dtype=np.float64)
     if soft.shape[-2:] != (X.shape[-2], model.K):
         raise DimensionError(f"soft labels have shape {soft.shape}, expected ({X.shape[-2]}, {model.K})")
@@ -205,13 +241,13 @@ def _check_soft(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     # every row summing to 1 is the common case: one max decides it (a NaN sum
     # fails it and goes on to the full test)
     if not off.size or off.max() <= _SUM_TOL:
-        return soft
+        return soft, sums
     # all-zero rows are allowed (no label weight); otherwise rows must sum to 1.
     # Same test as np.isclose(sums, 1.0, atol=1e-9) | np.isclose(sums, 0.0, atol=1e-12),
     # written out because np.isclose costs more than a batch-32 gradient itself
     if not ((off <= _SUM_TOL) | (np.abs(sums) <= 1e-12)).all():
         raise DomainError("soft label rows must sum to 1 (or be all zero)")
-    return soft
+    return soft, sums
 
 
 def ce_loss(model: Model, X: np.ndarray, soft: np.ndarray) -> float | np.ndarray:
@@ -235,29 +271,38 @@ def ce_loss(model: Model, X: np.ndarray, soft: np.ndarray) -> float | np.ndarray
 def grad(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     """Analytic gradient of ce_loss w.r.t. theta."""
     X = np.asarray(X, dtype=np.float64)
-    return _grad(model, X, _check_soft(model, X, soft))
+    return _grad(model, X, *_checked_sums(model, X, soft))
 
 
-def _grad(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
-    """grad without the input checks, for callers that made them once."""
+def _grad(model: Model, X: np.ndarray, soft: np.ndarray, sums=None,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """grad without the input checks, for callers that made them once.
+
+    ``sums`` are the soft labels' row sums, computed when None; one-hot
+    labels pass the float 1.0, every row's exact sum, and skip the scaling,
+    since p * 1.0 is p.  ``out``, when given, is the buffer a nonempty
+    batch's gradient is written into, of the result's shape."""
     n = X.shape[-2]
     if n == 0:
         return model.l2 * model.theta.copy()
     dlogits = forward(model, X)
-    dlogits *= row_sum(soft)[..., None]
+    if sums is None:
+        sums = row_sum(soft)
+    if not isinstance(sums, float):
+        dlogits *= sums[..., None]
     dlogits -= soft
     dlogits /= n
     # each block of the gradient is written straight into its view of g
-    g = np.empty(dlogits.shape[:-2] + model.theta.shape[-1:])
+    g = np.empty(dlogits.shape[:-2] + model.theta.shape[-1:]) if out is None else out
     dlogits_T = dlogits.swapaxes(-1, -2)
     if model.kind == "logistic":
-        gW, gb = _unpack_logistic(model._with(g))
+        gW, gb = _unpack_logistic(model, g)
         np.matmul(dlogits_T, X, out=gW)
         dlogits.sum(axis=-2, out=gb)
     else:
-        W1, b1, W2, b2 = _unpack_mlp(model)
-        gW1, gb1, gW2, gb2 = _unpack_mlp(model._with(g))
-        A = np.tanh(X @ W1.swapaxes(-1, -2) + b1[..., None, :])
+        W1_T, b1, W2, _, _ = _logit_views(model)
+        gW1, gb1, gW2, gb2 = _unpack_mlp(model, g)
+        A = np.tanh(X @ W1_T + b1)
         dZ = dlogits @ W2
         dZ *= 1.0 - A * A
         np.matmul(dZ.swapaxes(-1, -2), X, out=gW1)
@@ -291,7 +336,7 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     if model.kind != "logistic":
         raise UnsupportedModelError("exact Hessian is only available for the logistic model")
     X = np.asarray(X, dtype=np.float64)
-    soft = _check_soft(model, X, soft)
+    soft, S = _checked_sums(model, X, soft)
     n, d, K = X.shape[-2], model.d, model.K
     P = n_params("logistic", d, K)
     if n == 0:
@@ -299,7 +344,6 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
         return np.broadcast_to(model.l2 * np.eye(P), lead + (P, P)).copy()
     p = forward(model, X)
     lead = p.shape[:-2]
-    S = row_sum(soft)
     m = d + 1
     Xt = np.empty(X.shape[:-1] + (m,))
     Xt[..., :d] = X
@@ -357,9 +401,11 @@ def minibatch_sgd(model: Model, n: int, cfg, rngs, epoch_grad, loss_rows,
     ``theta -= cfg.lr * batch_grad(...)`` over the ``cfg.batch_size`` slices
     of the orders and record the S losses ``ce_loss`` gives on ``loss_rows``,
     an ``(X, soft labels)`` pair.  ``batch_grad`` gets the call's one model,
-    whose theta is stepped in place, so it may not keep it past the call.
-    Ascent closures return the negated gradient.  Returns the stepped model
-    and one loss history per run.
+    whose theta is stepped in place, so it may not keep it past the call,
+    and the step scales the gradient it returns in place (the product
+    ``g * lr`` has the bits of ``lr * g``), so that may be one buffer reused
+    by every step.  Ascent closures return the negated gradient.  Returns
+    the stepped model and one loss history per run.
 
     Divergence is decided once per epoch: a DomainError from the epoch's
     steps or its loss (``softmax_rows`` refusing logits that overflowed), or
@@ -369,24 +415,28 @@ def minibatch_sgd(model: Model, n: int, cfg, rngs, epoch_grad, loss_rows,
     that is not finite stays so for the rest of the epoch (inf - x is inf,
     nan stays nan), and the epoch's loss is then not finite either, since
     its l2 term ``0.5 * l2 * theta . theta`` is inf for l2 > 0 and
-    0 * inf = nan for l2 = 0."""
+    0 * inf = nan for l2 = 0.  Since that rule names every overflow, the run
+    keeps numpy's overflow and invalid-value warnings to itself."""
     theta = model.theta.copy()
     model = model.with_theta(theta)  # this call's own model, stepped in place
     X, labels = loss_rows
     losses = []
-    for epoch in range(1, cfg.epochs + 1):
-        batch_grad = epoch_grad(np.stack([rng.permutation(n) for rng in rngs]))
-        try:
-            for lo in range(0, n, cfg.batch_size):
-                theta -= cfg.lr * batch_grad(model, lo, lo + cfg.batch_size)
-            del batch_grad  # the epoch's batches go before the next epoch's are built
-            loss = ce_loss(model, X, labels)
-            if not np.isfinite(loss).all():
-                raise DomainError(f"loss is {float(loss[~np.isfinite(loss)][0])}")
-        except DomainError as exc:
-            reason = exc if np.isfinite(theta).all() else "parameters are no longer finite"
-            raise DomainError(f"{name} diverged in epoch {epoch}: {reason}") from exc
-        losses.append(loss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            batch_grad = epoch_grad(np.stack([rng.permutation(n) for rng in rngs]))
+            try:
+                for lo in range(0, n, cfg.batch_size):
+                    g = batch_grad(model, lo, lo + cfg.batch_size)
+                    g *= cfg.lr
+                    theta -= g
+                del batch_grad  # the epoch's batches go before the next epoch's are built
+                loss = ce_loss(model, X, labels)
+                if not np.isfinite(loss).all():
+                    raise DomainError(f"loss is {float(loss[~np.isfinite(loss)][0])}")
+            except DomainError as exc:
+                reason = exc if np.isfinite(theta).all() else "parameters are no longer finite"
+                raise DomainError(f"{name} diverged in epoch {epoch}: {reason}") from exc
+            losses.append(loss)
     return model, np.reshape(losses, (cfg.epochs, len(theta))).T.tolist()
 
 
@@ -399,22 +449,29 @@ def sgd_train(model: Model, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     or (S, n) and ``rng`` is a list of S generators: run s trains
     ``theta[s]`` on its labels with ``rng[s]``, and the result is the
     stacked model and S histories, each the bits of that run alone."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] == 0:
-        raise DomainError("cannot train on an empty dataset")
     single = model.theta.ndim == 1
     if single:
         model = model.with_stack(model.theta[None])
         rng = [rng if rng is not None else rng_stream(cfg.seed, 0)]
+    trained, history = _sgd(model, X, y, cfg, rng, "sgd_train")
+    return (trained.with_stack(trained.theta[0]), history[0]) if single else (trained, history)
+
+
+def _sgd(model: Model, X: np.ndarray, y: np.ndarray, cfg: TrainConfig, rngs,
+         name: str) -> tuple[Model, list[list[float]]]:
+    """``sgd_train`` of the (S, P) stack ``model.theta`` with one generator
+    per run, naming the run ``name`` when it diverges."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[0] == 0:
+        raise DomainError("cannot train on an empty dataset")
     labels = _check_soft(model, X, onehot(y, model.K))
+    g = np.empty(model.theta.shape)
 
     def epoch_grad(orders):
         Xo = X[orders]
         So = labels[orders] if labels.ndim == 2 else np.take_along_axis(labels, orders[..., None], 1)
-        return lambda m, lo, hi: _grad(m, Xo[:, lo:hi], So[:, lo:hi])
-    trained, history = minibatch_sgd(model, X.shape[0], cfg, rng, epoch_grad, (X, labels),
-                                     "sgd_train")
-    return (trained.with_stack(trained.theta[0]), history[0]) if single else (trained, history)
+        return lambda m, lo, hi: _grad(m, Xo[:, lo:hi], So[:, lo:hi], 1.0, g)
+    return minibatch_sgd(model, X.shape[0], cfg, rngs, epoch_grad, (X, labels), name)
 
 
 def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
@@ -446,20 +503,22 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
     # checks; then the inputs become an (S, ...) stack
     f = np.ravel(ce_loss(model, X, soft))
     X, soft = X.reshape((S,) + X.shape[-2:]), soft.reshape((S,) + soft.shape[-2:])
-    # the problems still stepping; X and soft keep only their rows
+    sums = row_sum(soft)
+    # the problems still stepping; X, soft and sums keep only their rows
     live = np.arange(S)
 
     def problem(s):  # names problem s in the errors of a stack of two or more
         return f" (problem {s})" if S > 1 else ""
     for it in range(NEWTON_MAX_ITER + 1):
-        g = _grad(model._with(theta[live]), X, soft)
+        g = _grad(model._with(theta[live]), X, soft, sums)
         g_norm = np.sqrt(row_dot(g))  # the bits of np.linalg.norm on each row
         done = g_norm <= NEWTON_TOL
         if done.all():
             return model._with(theta.reshape(model.theta.shape))
         if done.any():
             keep = ~done
-            live, g, g_norm, X, soft = live[keep], g[keep], g_norm[keep], X[keep], soft[keep]
+            live, g, g_norm = live[keep], g[keep], g_norm[keep]
+            X, soft, sums = X[keep], soft[keep], sums[keep]
         if it == NEWTON_MAX_ITER:
             raise SolverError(f"newton_optimize: gradient norm {g_norm[0]:.3e} after {it} "
                               f"iterations{problem(live[0])}")

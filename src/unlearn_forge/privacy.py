@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 
 
@@ -77,18 +75,20 @@ def optimal_prediction_distribution(params: LdpParams) -> tuple[float, float]:
 
 
 def verify_ratio_bound(params: LdpParams) -> LdpReport:
-    """Brute-force check of the privacy definition.
+    """Check of the privacy definition against the closed-form epsilon.
 
     Takes the max log probability ratio P[y, y_pred] / P[y', y_pred] over all
-    (y, y', y_pred) label triples of the K x K optimal prediction table P and
-    compares it with the closed-form epsilon.
+    (y, y', y_pred) label triples of the K x K optimal prediction table P,
+    in O(1): for each prediction the largest ratio over (y, y') pairs is
+    column max / column min, and every column holds p_target once and
+    p_other K - 1 times, so each is max(p_target, p_other) / min(p_target,
+    p_other).
     """
     eps = label_ldp_epsilon(params)
     p_target, p_other = optimal_prediction_distribution(params)
-    P = np.full((params.K, params.K), p_other)
-    np.fill_diagonal(P, p_target)
-    # for each prediction the largest ratio over (y, y') pairs is column max / column min
-    max_log_ratio = math.log(float(np.max(P.max(axis=0) / P.min(axis=0))))
+    low = min(p_target, p_other)
+    # a p_other that underflowed to 0.0 gives an infinite ratio, as IEEE division does
+    max_log_ratio = math.log(max(p_target, p_other) / low) if low > 0.0 else math.inf
     if max_log_ratio > eps + 1e-9:
         raise DomainError(
             f"empirical log ratio {max_log_ratio:.12g} exceeds epsilon {eps:.12g}")

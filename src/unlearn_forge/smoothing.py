@@ -133,7 +133,11 @@ def mixed_grad(model: Model, Xr: np.ndarray, yr: np.ndarray,
     Yr = onehot(yr, model.K)
     if Yr.shape[:-1] != Xr.shape[:-1]:
         raise DimensionError(f"{Yr[..., 0].size} retain labels for {Xr[..., 0].size} retain rows")
-    # one-hot rows sum to 1 by construction: only the forget labels need _check_soft
-    gr = models._grad(model, Xr, Yr)
+    # one-hot rows sum to exactly 1.0: only the forget labels need _check_soft,
+    # and the retain term skips the scaling by their sums
+    gr = models._grad(model, Xr, Yr, 1.0)
     gf = models.grad(model, Xf, soft_f)
-    return p * gr - (1.0 - p) * gf
+    gr *= p
+    gf *= 1.0 - p
+    gr -= gf
+    return gr

@@ -10,16 +10,17 @@ Each also runs several seeds in lockstep: ``fn(model, ds, split, cfg,
 seeds=[...])`` returns one result per seed, each with the bits of that seed's
 own run, and charges each the call's wall-clock divided by the number of
 seeds.  Every iterative method runs on the one minibatch loop
-``models.minibatch_sgd`` with all the seeds' parameter vectors stacked, FT and
-RL through ``models.sgd_train``, GA and UGradSL(+) with their own
-``epoch_grad``.  Each seed keeps its own generator; a method draws every
-seed's randomness (shuffles, UGradSL partners, RL's wrong labels, an MLP's
-initial weights) and stacks it.  Once per epoch ``epoch_grad`` gathers the
-rows of that epoch's shuffled orders (for UGradSL also the partner rows, the
-smooth rates and the smoothed labels), and each step takes the gradient on a
-slice of them.  IU draws nothing, so it computes its update once for all
-seeds.  A method body returns only the stacked model and one history per
-seed: the ``_lockstep`` wrapper around it is the one reader of the clock.
+``models.minibatch_sgd`` with all the seeds' parameter vectors stacked:
+retrain, FT and RL through ``sgd_train``'s body, GA and UGradSL(+) with their
+own ``epoch_grad``, each naming its method when it diverges.  Each seed keeps
+its own generator; a method draws every seed's randomness (shuffles, UGradSL
+partners, RL's wrong labels, an MLP's initial weights) and stacks it.  Once
+per epoch ``epoch_grad`` gathers the rows of that epoch's shuffled orders (for
+UGradSL also the partner rows, the smooth rates and the smoothed labels), and
+each step takes the gradient on a slice of them.  IU draws nothing, so it
+computes its update once for all seeds.  A method body returns only the
+stacked model and one history per seed: the ``_lockstep`` wrapper around it is
+the one reader of the clock.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def _stack(model: Model, seeds) -> Model:
 
 
 def _require_retain(split: ForgetSplit):
-    """For the methods whose retain rows reach no ``sgd_train`` empty-data check."""
+    """For the methods whose retain rows reach no ``models._sgd`` empty-data check."""
     if split.retain_idx.size == 0:
         raise DomainError("retain set is empty")
 
@@ -103,16 +104,16 @@ def retrain(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: TrainConf
     retain = ds.subset(split.retain_idx)
     fresh = [models.init_model(model.kind, model.d, model.K, model.l2, model.hidden,
                                rng_stream(s, 1)).theta for s in seeds]
-    return models.sgd_train(model.with_stack(np.stack(fresh)), retain.X, retain.y, cfg,
-                            [rng_stream(s, 0) for s in seeds])
+    return models._sgd(model.with_stack(np.stack(fresh)), retain.X, retain.y, cfg,
+                       [rng_stream(s, 0) for s in seeds], "retrain")
 
 
 @_lockstep
 def finetune(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: UnlearnConfig, seeds):
     """Continue SGD on the retain rows from the trained parameters."""
     retain = ds.subset(split.retain_idx)
-    return models.sgd_train(_stack(model, seeds), retain.X, retain.y, cfg,
-                            [rng_stream(s, 0) for s in seeds])
+    return models._sgd(_stack(model, seeds), retain.X, retain.y, cfg,
+                       [rng_stream(s, 0) for s in seeds], "ft")
 
 
 @_lockstep
@@ -121,10 +122,12 @@ def gradient_ascent(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: U
     """SGD on the negated loss over the forget rows only."""
     forget = ds.subset(split.forget_idx)
     labels = onehot(forget.y, model.K)
+    g = np.empty((len(seeds), model.theta.size))
 
     def epoch_grad(orders):
         Xo, So = forget.X[orders], labels[orders]
-        return lambda m, lo, hi: -models._grad(m, Xo[:, lo:hi], So[:, lo:hi])
+        return lambda m, lo, hi: np.negative(models._grad(m, Xo[:, lo:hi], So[:, lo:hi], 1.0, g),
+                                             out=g)
     return models.minibatch_sgd(_stack(model, seeds), forget.n, cfg,
                                 [rng_stream(s, 2) for s in seeds], epoch_grad,
                                 (forget.X, labels), "ga")
@@ -144,7 +147,7 @@ def random_label(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: Unle
         # the r-th class other than y, for r uniform in [0, K-1)
         r = rng.integers(ds.K - 1, size=split.forget_idx.size)
         y[split.forget_idx] = r + (r >= ds.y[split.forget_idx])
-    return models.sgd_train(_stack(model, seeds), rows.X, y_new[:, idx], cfg, rngs)
+    return models._sgd(_stack(model, seeds), rows.X, y_new[:, idx], cfg, rngs, "rl")
 
 
 @_lockstep

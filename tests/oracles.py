@@ -11,7 +11,10 @@ their per-call cost was cut (fresh temporaries, ``concatenate``, ``hstack``,
 a per-class block loop, the full soft-label mask on every call): the shipped
 kernels must equal them bit for bit.  ``theory_report_ref`` is one
 instance's theorem check as it was written before the checks were stacked,
-which each stacked report must equal bit for bit.
+and ``evaluate_ref`` one model's metrics as they were written before the
+evaluation was stacked: each stacked result must equal them bit for bit.
+``ratio_table_max_log_ratio`` is the label-LDP ratio taken over the whole
+K x K prediction table.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-from unlearn_forge import influence, models
+import math
+
+from unlearn_forge import influence, metrics, models
 from unlearn_forge.errors import DimensionError, DomainError
 from unlearn_forge.models import Model, n_params, onehot
-from unlearn_forge.numcore import solve_damped
-from unlearn_forge.privacy import LdpParams
+from unlearn_forge.numcore import rng_stream, solve_damped
+from unlearn_forge.privacy import LdpParams, optimal_prediction_distribution
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -87,6 +92,16 @@ def simplex_oracle(params: LdpParams, iters: int = 10_000, step: float = 1e-2) -
         p = np.maximum(p, 1e-12)
         p /= p.sum()
     return p
+
+
+def ratio_table_max_log_ratio(params: LdpParams) -> float:
+    """The largest log ratio P[y, y_pred] / P[y', y_pred] of the K x K
+    optimal prediction table P, as column max / column min of the table."""
+    p_target, p_other = optimal_prediction_distribution(params)
+    P = np.full((params.K, params.K), p_other)
+    np.fill_diagonal(P, p_target)
+    with np.errstate(divide="ignore", over="ignore"):  # a p_other of 0.0 gives inf
+        return math.log(float(np.max(P.max(axis=0) / P.min(axis=0))))
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -275,3 +290,23 @@ def theory_report_ref(theta_tr: Model, theta_r: Model, tr, retain, forget, dampi
         rep.best_alpha = float(alpha_grid[i])
         rep.dist_gls_at_best_alpha = float(dists[i])
     return rep
+
+
+def evaluate_ref(model: Model, forget, retain, test, seed: int) -> metrics.MetricsReport:
+    """One model's ``metrics.evaluate``: a forward per metric and set, eight
+    in all, the attack's members' losses from a forward on their rows alone."""
+    rng = rng_stream(seed, 5)
+    member_idx = rng.choice(retain.n, size=max(1, retain.n // 2), replace=False)
+    tau = metrics._best_threshold(metrics.example_losses(model, retain.subset(member_idx)),
+                                  metrics.example_losses(model, test))
+    mia = 100.0 * float(np.mean(metrics.example_losses(model, forget) > tau))
+    _, correct = metrics._sweep(metrics.example_losses(model, forget),
+                                metrics.example_losses(model, test))
+    n = forget.n + test.n
+    return metrics.MetricsReport(
+        ua=100.0 - metrics.accuracy(model, forget),
+        mia=mia,
+        ra=metrics.accuracy(model, retain),
+        ta=metrics.accuracy(model, test),
+        additional_mia=100.0 * float(np.maximum(correct, n - correct).max() / n),
+    )

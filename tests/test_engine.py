@@ -9,6 +9,12 @@ so any change to the RNG draws, the batch slicing or the update arithmetic
 shows up here.
 """
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -258,3 +264,57 @@ class TestOneDivergenceRule:
         # after epoch e each of the 6 entries is 1.5 e, so the l2 term is 0.5 l2 6 (1.5 e)^2
         expected = [0.5 * 1e-2 * 6 * (1.5 * e) ** 2 for e in (1, 2, 3)]
         assert history == [pytest.approx(expected, rel=1e-15)] * 3
+
+
+class TestDivergenceOutput:
+    """A divergent run names its own method, and the one ``error:`` line is
+    all that reaches stderr: numpy warns of nothing ahead of it."""
+    @staticmethod
+    def run_cli(argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        assert [str(w.message) for w in caught] == []
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, reason", [
+        ("ft", "parameters are no longer finite"), ("rl", "parameters are no longer finite"),
+        ("ga", "parameters are no longer finite"), ("ugradsl", "logits must be finite"),
+        ("ugradsl_plus", "logits must be finite")])
+    def test_unlearn_at_lr_1e307(self, tmp_path, capsys, method, reason):
+        p = tmp_path / "diverge.cfg"
+        p.write_text("unlearn.lr = 1e307\n")
+        code, err = self.run_cli(["unlearn", "--config", str(p), "--method", method], capsys)
+        assert (code, err) == (3, f"error: domain: {method} diverged in epoch 1: {reason}\n")
+
+    def test_retrain_of_a_model_file_at_train_lr_1e307(self, tmp_path, capsys):
+        model = tmp_path / "m.model"
+        assert cli.main(["train", "--out", str(model)]) == 0
+        capsys.readouterr()
+        p = tmp_path / "diverge.cfg"
+        p.write_text("train.lr = 1e307\n")
+        code, err = self.run_cli(["unlearn", "--config", str(p), "--model", str(model),
+                                  "--method", "retrain"], capsys)
+        assert (code, err) == (3, "error: domain: retrain diverged in epoch 1: "
+                                  "logits must be finite\n")
+
+    def test_train_on_a_huge_row(self, tmp_path, capsys):
+        csv = tmp_path / "huge.csv"
+        csv.write_text("f0,f1,label\n0.5,1.0,0\n1e160,1e160,1\n-0.3,0.2,0\n0.9,-1,1\n")
+        p = tmp_path / "huge.cfg"
+        p.write_text(f"data.file = {csv}\ndata.k = 2\n")
+        code, err = self.run_cli(["train", "--config", str(p), "--out", str(tmp_path / "m.model")],
+                                 capsys)
+        assert (code, err) == (3, "error: domain: sgd_train diverged in epoch 1: "
+                                  "logits must be finite\n")
+
+    def test_stderr_of_the_command(self, tmp_path):
+        p = tmp_path / "diverge.cfg"
+        p.write_text("unlearn.lr = 1e307\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-m", "unlearn_forge.cli", "unlearn", "--config",
+                              str(p), "--method", "ft"], capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert out.returncode == 3
+        assert out.stderr == ("error: domain: ft diverged in epoch 1: "
+                              "parameters are no longer finite\n")

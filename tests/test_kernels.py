@@ -7,6 +7,7 @@ soft-label rows.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -276,3 +277,105 @@ class TestStackedBitForBit:
         for s, (m, Xs, soft_s) in enumerate(parts):
             assert same_bits(loss[s], ce_loss_ref(m, Xs, soft_s))
             assert same_bits(g[s], grad_ref(m, Xs, soft_s))
+
+
+class TestOneHotGradient:
+    """``_grad`` told that its labels are one-hot (``sums`` = 1.0) skips the
+    scaling by the row sums and keeps the scaled form's bits."""
+    @pytest.mark.parametrize("n", [1, 31, 32, 33])
+    @pytest.mark.parametrize("K", [2, 3, 10])
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_equals_the_scaled_form(self, kind, K, n):
+        for seed in range(3):
+            m, X, soft = instance(seed, n, K, "onehot", kind=kind, scale=3.0)
+            expected = grad_ref(m, X, soft)
+            assert same_bits(models._grad(m, X, soft), expected)
+            assert same_bits(models._grad(m, X, soft, 1.0), expected)
+            out = np.full(m.theta.shape, np.nan)
+            assert models._grad(m, X, soft, 1.0, out) is out
+            assert same_bits(out, expected)
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33])
+    @pytest.mark.parametrize("K", [2, 3, 10])
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_stacked(self, kind, K, n):
+        stack, X, soft, parts = stacked_instances(n * K, 4, n, K, "onehot", kind)
+        out = np.empty(stack.theta.shape)
+        g = models._grad(stack, X, soft, 1.0, out)
+        assert same_bits(g, models._grad(stack, X, soft))
+        for s, (m, Xs, soft_s) in enumerate(parts):
+            assert same_bits(g[s], grad_ref(m, Xs, soft_s))
+
+    def test_given_sums_are_the_computed_ones(self):
+        m, X, soft = instance(5, 33, 3, "gls_negative")
+        assert same_bits(models._grad(m, X, soft, row_sum(soft)), grad_ref(m, X, soft))
+
+
+# (n, d, K) of the row sets the attack's members are drawn from: the default
+# config's, the benchmark's large scale and shapes between
+SUBSET_SHAPES = [(77, 4, 3), (200, 5, 3), (300, 5, 3), (8100, 20, 10), (9000, 20, 10)]
+
+
+class TestRowSubsets:
+    """A row's probabilities do not depend on the rows computed with it:
+    ``forward`` on a row subset has the bits of the same rows of ``forward``
+    on the whole set, stacked or not.  BLAS may round by layout, so this is
+    pinned on the shapes ``metrics.evaluate`` meets."""
+    @pytest.mark.parametrize("S", [1, 10])
+    @pytest.mark.parametrize("n, d, K", SUBSET_SHAPES)
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_subset_rows_of_the_full_forward(self, kind, n, d, K, S):
+        rng = np.random.default_rng(n + S)
+        m = models.init_model(kind, d, K, hidden=16)
+        stack = m.with_stack(rng.standard_normal((S, m.theta.size)))
+        X = rng.standard_normal((n, d))
+        full = models.forward(stack, X)
+        for _ in range(2):
+            idx = rng.choice(n, size=max(1, n // 2), replace=False)
+            assert same_bits(full[:, idx], models.forward(stack, X[idx]))
+            for s in range(S):
+                row = stack.with_stack(stack.theta[s])
+                assert same_bits(full[s, idx], models.forward(row, X[idx]))
+
+
+class TestLogitViews:
+    """``logits`` keeps theta's views on the model: they follow theta stepped
+    in place and never reach a model of another theta."""
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_another_theta_gets_its_own_views(self, kind):
+        rng = np.random.default_rng(0)
+        m = models.init_model(kind, 4, 3, hidden=5)
+        m = m.with_theta(rng.standard_normal(m.theta.size))
+        X = rng.standard_normal((9, 4))
+        t2 = rng.standard_normal(m.theta.size)
+        models.logits(m, X)
+        fresh = models.init_model(kind, 4, 3, hidden=5).with_theta(t2.copy())
+        assert same_bits(models.logits(m.with_theta(t2), X), models.logits(fresh, X))
+        stack = np.stack([t2, -t2])
+        assert same_bits(models.logits(m.with_stack(stack), X)[0], models.logits(fresh, X))
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_views_follow_theta_stepped_in_place(self, kind):
+        rng = np.random.default_rng(1)
+        m = models.init_model(kind, 4, 3, hidden=5)
+        theta = rng.standard_normal((2, m.theta.size))
+        m = m.with_stack(theta)
+        X = rng.standard_normal((9, 4))
+        models.logits(m, X)
+        theta -= 0.5
+        fresh = m.with_stack(theta.copy())
+        assert same_bits(models.logits(m, X), models.logits(fresh, X))
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_a_pickled_model_builds_its_own_views(self, kind):
+        # what a --jobs worker receives
+        rng = np.random.default_rng(2)
+        m = models.init_model(kind, 4, 3, hidden=5)
+        m = m.with_stack(rng.standard_normal((2, m.theta.size)))
+        X = rng.standard_normal((9, 4))
+        models.logits(m, X)
+        copy = pickle.loads(pickle.dumps(m))
+        assert "_logit_views" not in copy.__dict__
+        copy.theta[...] = rng.standard_normal(copy.theta.shape)
+        fresh = m.with_stack(copy.theta.copy())
+        assert same_bits(models.logits(copy, X), models.logits(fresh, X))

@@ -15,9 +15,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from unlearn_forge import cli, data, experiment, models, smoothing, unlearn
+from oracles import evaluate_ref
+from unlearn_forge import cli, data, experiment, metrics, models, smoothing, unlearn
 from unlearn_forge.config import default_config
-from unlearn_forge.errors import DomainError
+from unlearn_forge.errors import DimensionError, DomainError
 from unlearn_forge.models import onehot
 
 SEEDS = [0, 3, 7]
@@ -178,6 +179,59 @@ class TestStackedKernels:
             assert same_bits(onehot(y, 3)[s], onehot(y[s], 3))
             assert same_bits(soft[s], smoothing.gls_labels(y[s], 3, alphas[s]))
             assert same_bits(rates[s], smoothing.epoch_alphas(policy, Xr[s], Xf[s], 4))
+
+
+class TestStackedEvaluate:
+    """One stacked ``metrics.evaluate`` per seed group gives every seed the
+    report of that seed's model evaluated alone, as it was evaluated before
+    the stacked form."""
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("paradigm", [{"split.paradigm": "classwise"},
+                                          {"split.paradigm": "random", "split.fraction": 0.34},
+                                          {"split.paradigm": "group", "split.groups": "0,3"},
+                                          {"split.paradigm": "classwise", "data.per_class": 100,
+                                           "data.test_per_class": 100, "data.dim": 5}],
+                             ids=["classwise", "random", "group", "classwise-default-size"])
+    def test_every_method(self, paradigm, kind):
+        cfg = small_cfg(**paradigm, **{"model.kind": kind})
+        ds, test, split, model = inputs(cfg)
+        forget, retain = ds.subset(split.forget_idx), ds.subset(split.retain_idx)
+        for method in [m for m in unlearn.METHODS if not (m == "iu" and kind == "mlp")]:
+            cells = experiment.run_cells(cfg, method, SEEDS, ds, test, split, model)
+            stack = model.with_stack(np.stack([r.model.theta for r, _ in cells]))
+            stacked = metrics.evaluate(stack, forget, retain, test, SEEDS)
+            for seed, (result, report), alone in zip(SEEDS, cells, stacked):
+                expected = evaluate_ref(result.model, forget, retain, test, seed)
+                assert repr(report) == repr(alone) == repr(expected), (method, seed)
+                single = metrics.evaluate(result.model, forget, retain, test, seed)
+                assert repr(single) == repr(expected)
+
+    def test_one_forward_per_set_and_one_attack_per_seed(self, monkeypatch):
+        cfg = small_cfg()
+        ds, test, split, model = inputs(cfg)
+        forget, retain = ds.subset(split.forget_idx), ds.subset(split.retain_idx)
+        calls = []
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        for module, name in ((models, "forward"), (metrics, "mia_score"),
+                             (metrics, "mia_accuracy_additional")):
+            count(module, name)
+        stack = model.with_stack(np.stack([model.theta] * len(SEEDS)))
+        metrics.evaluate(stack, forget, retain, test, SEEDS)
+        assert calls == ["forward"] * 3 + ["mia_score", "mia_accuracy_additional"] * len(SEEDS)
+
+    def test_seeds_must_match_the_stack(self):
+        ds, test, split, model = inputs(small_cfg())
+        forget, retain = ds.subset(split.forget_idx), ds.subset(split.retain_idx)
+        stack = model.with_stack(np.stack([model.theta] * 2))
+        with pytest.raises(DimensionError, match="3 seeds for 2 models"):
+            metrics.evaluate(stack, forget, retain, test, SEEDS)
 
 
 class TestDivergence:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import simplex_oracle
+from oracles import ratio_table_max_log_ratio, simplex_oracle
+from unlearn_forge import cli
 from unlearn_forge.errors import DomainError
 from unlearn_forge.privacy import (LdpParams, label_ldp_epsilon, optimal_prediction_distribution,
                                    verify_ratio_bound)
@@ -146,3 +148,45 @@ class TestRatioTable:
         except DomainError:
             return  # nonpositive log argument
         assert rep.empirical_max_log_ratio == loop_max_log_ratio(params)
+
+
+class TestRatioClosedForm:
+    """``verify_ratio_bound`` takes the ratio in closed form, with the bits
+    of the whole K x K table's column max over column min."""
+    @pytest.mark.parametrize("K", [2, 3, 5, 10, 37, 100])
+    @pytest.mark.parametrize("alpha", [-0.1, -0.45, -0.9])
+    def test_equals_the_table(self, K, alpha):
+        params = LdpParams(K=K, alpha=alpha, gamma1=2.0, gamma2=1.0)
+        rep = verify_ratio_bound(params)
+        assert rep.empirical_max_log_ratio == ratio_table_max_log_ratio(params)
+        assert rep.empirical_max_log_ratio == loop_max_log_ratio(params)
+
+    @given(st.integers(min_value=2, max_value=300),
+           st.floats(min_value=-5.0, max_value=-1e-3),
+           st.floats(min_value=1e-2, max_value=10.0),
+           st.floats(min_value=1e-2, max_value=10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_table_for_valid_params(self, K, alpha, gamma1, gamma2):
+        params = valid_params(K, alpha, gamma1, gamma2)
+        if params is None:
+            return
+        try:
+            rep = verify_ratio_bound(params)
+        except DomainError:
+            return  # nonpositive log argument
+        assert rep.empirical_max_log_ratio == ratio_table_max_log_ratio(params)
+
+    def test_p_other_underflowing_to_zero(self):
+        params = LdpParams(K=3, alpha=-5e-324, gamma1=2.0, gamma2=1.0)
+        rep = verify_ratio_bound(params)
+        assert rep.p_other == 0.0
+        assert rep.empirical_max_log_ratio == ratio_table_max_log_ratio(params) == math.inf
+
+    def test_cli_at_a_trillion_classes(self, capsys):
+        # the table would take 8e24 bytes; the closed form needs none of it
+        assert cli.main(["ldp", "--k", "1000000000000", "--alpha", "-0.5", "--gamma1", "2",
+                         "--gamma2", "1", "--format", "machine"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["K"] == 10 ** 12
+        assert doc["empirical_max_log_ratio"] == math.log(doc["p_target"] / doc["p_other"])
+        assert doc["empirical_max_log_ratio"] <= doc["epsilon"] + 1e-9
