@@ -29,9 +29,9 @@ import sys
 from . import __version__, data, metrics, privacy, unlearn
 from .config import default_config, file_named_by, parse_config, parse_seeds, validate
 from .errors import ConfigError, SolverError, UnlearnForgeError
-from .experiment import (build_datasets, build_split, cell_record, check_method, methods,
-                         run_benchmark, run_cell, run_verify_theory, train_original)
-from .experiment import theory_instance  # noqa: F401  (read by bench/workloads.py)
+from .experiment import (build_datasets, cell_record, check_method, methods, run_benchmark,
+                         run_verify_theory, train_original, unlearn_cell)
+from .experiment import build_split, theory_instance  # noqa: F401  (read by bench/workloads.py)
 from .modelio import load_model, save_model
 
 log = logging.getLogger("unlearn_forge")
@@ -146,14 +146,7 @@ def cmd_unlearn(args) -> int:
     if len(seeds) > 1:
         print(f"warning: seeds = {cfg['seeds']} names {len(seeds)} seeds and unlearn runs one, "
               f"the first ({seed}); pick it with --seed", file=sys.stderr)
-    ds, test = build_datasets(cfg)
-    split, eval_test = build_split(cfg, ds, test)
-    if model is None:
-        model = train_original(cfg, ds)
-    elif (model.d, model.K) != (ds.d, ds.K):
-        raise ConfigError(f"model {args.model} has (d, K) = ({model.d}, {model.K}), "
-                          f"the data has ({ds.d}, {ds.K})")
-    result, report = run_cell(cfg, method, seed, ds, eval_test, split, model)
+    result, report = unlearn_cell(cfg, method, seed, model, args.model)
     if args.out:
         with file_named_by("--out", args.out):
             save_model(result.model, args.out)

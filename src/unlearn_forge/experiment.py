@@ -1,6 +1,6 @@
 """Experiment runners: datasets, forget splits and the original model built
-from a run configuration, one method's cells at a group of seeds, the
-benchmark report over all configured methods and seeds, and the theory verifier.
+from a run configuration, one method's cells at a group of seeds (or the
+``unlearn`` command's one), the benchmark report and the theory verifier.
 
 The benchmark runs each method once per group of seeds, all the group's
 seeds stepped in lockstep (see ``unlearn``); every cell keeps the bits of its
@@ -175,6 +175,20 @@ def run_cell(cfg: dict, method: str, seed: int, ds: data.LabeledDataset,
              model: models.Model) -> tuple[unlearn.UnlearnResult, metrics.MetricsReport]:
     """``run_cells`` at the one seed ``seed``."""
     return run_cells(cfg, method, [seed], ds, test, split, model)[0]
+
+
+def unlearn_cell(cfg: dict, method: str, seed: int, model: models.Model | None = None,
+                 model_file: str | None = None):
+    """``run_cell`` on the configured data and split, unlearning ``model``
+    (read from ``model_file``) or, when it is None, the original model."""
+    ds, test = build_datasets(cfg)
+    split, eval_test = build_split(cfg, ds, test)
+    if model is None:
+        model = train_original(cfg, ds)
+    elif (model.d, model.K) != (ds.d, ds.K):
+        raise ConfigError(f"model {model_file} has (d, K) = ({model.d}, {model.K}), "
+                          f"the data has ({ds.d}, {ds.K})")
+    return run_cell(cfg, method, seed, ds, eval_test, split, model)
 
 
 def cell_record(method: str, seed: int, report: metrics.MetricsReport) -> dict:

@@ -6,7 +6,7 @@ Hessians.  Per-example losses include the l2 term, so the sum objective over
 a dataset D is sum_D ce(z) + |D| * l2/2 * ||theta||^2 and its stationary
 point coincides with the mean training objective's.
 
-Directions (damped solves throughout):
+Directions (damped solves throughout; ``delta_f`` is also IU's update):
 
 * delta_r = (sum_{D_tr} H(theta_r))^{-1} sum_{D_tr} g(theta_r)
 * delta_f = (sum_{D_r} H(theta_tr))^{-1} sum_{D_f} g(theta_tr)
@@ -93,14 +93,6 @@ def influence_of(z: tuple[np.ndarray, int], model: Model, ds: LabeledDataset,
     return -solve_damped(H, g, damping)
 
 
-def delta_r(theta_r_model: Model, tr: LabeledDataset,
-            damping: float = DEFAULT_DAMPING) -> np.ndarray:
-    """Learning-gap direction evaluated at the retrained optimum."""
-    H = _sum_hessian(theta_r_model, tr.X, tr.y)
-    g = _sum_grad(theta_r_model, tr.X, tr.y)
-    return solve_damped(H, g, damping)
-
-
 def delta_f(theta_tr_model: Model, retain: LabeledDataset, forget: LabeledDataset,
             damping: float = DEFAULT_DAMPING) -> np.ndarray:
     """Backtracked unlearning direction evaluated at the trained optimum.
@@ -124,20 +116,11 @@ def nontarget_grad_sum(model: Model, forget: LabeledDataset) -> np.ndarray:
     return X.shape[-2] * (model.K - 1) * models.grad(model, X, nontarget)
 
 
-def delta_n(theta_tr_model: Model, retain: LabeledDataset, forget: LabeledDataset,
-            damping: float = DEFAULT_DAMPING) -> np.ndarray:
-    """Non-target-label smoothing direction (1/(K-1) normalized)."""
-    H = _sum_hessian(theta_tr_model, retain.X, retain.y)
-    g = nontarget_grad_sum(theta_tr_model, forget)
-    return solve_damped(H, g, damping) / (theta_tr_model.K - 1)
-
-
-def gls_distance(dr: np.ndarray, df: np.ndarray, dn: np.ndarray, K: int, alpha: float) -> float:
-    """||delta_r - delta_f + ((1-K)/K) * alpha * (delta_n - delta_f)||."""
-    u = dr - df
-    v = dn - df
-    c = (1.0 - K) / K
-    return float(np.linalg.norm(u + c * alpha * v))
+def gls_distance(dr: np.ndarray, df: np.ndarray, dn: np.ndarray, K: int, alpha) -> np.ndarray:
+    """||delta_r - delta_f + ((1-K)/K) * alpha * (delta_n - delta_f)||, one
+    distance per smooth rate of a float or an array ``alpha``."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    return np.linalg.norm(dr - df + (1.0 - K) / K * alpha[..., None] * (dn - df), axis=-1)
 
 
 def closed_form_best_alpha(dr: np.ndarray, df: np.ndarray, dn: np.ndarray, K: int) -> float | None:
@@ -217,7 +200,6 @@ def _check(theta_tr_model: Model, theta_r_model: Model, tr, retain, forget,
     theorem1_residual = np.sqrt(row_dot(residual))
     if alpha_grid is not None:
         dn = solve_damped(H_r_at_tr, nontarget_grad_sum(theta_tr_model, forget), damping) / (K - 1)
-        u, v = dr - df, dn - df
     reports = []
     for s in range(S):
         rep = TheoryReport(delta_r=dr[s], delta_f=df[s], dist_ga=float(dist_ga[s]),
@@ -230,12 +212,11 @@ def _check(theta_tr_model: Model, theta_r_model: Model, tr, retain, forget,
             rep.warnings.append(f"theta_r not stationary (grad norm {rep.grad_norm_r:.2e})")
         rep.ga_cannot_help = rep.dist_ga > rep.dist_noop
         if alpha_grid is not None:
-            rep.delta_n, rep.inner = dn[s], float(u[s] @ v[s])
+            rep.delta_n, rep.inner = dn[s], float((dr[s] - df[s]) @ (dn[s] - df[s]))
             rep.condition_met = rep.inner <= 0.0
             rep.closed_form_alpha = closed_form_best_alpha(dr[s], df[s], dn[s], K)
-            # gls_distance at every grid point at once, one instance at a
-            # time so that the sweep's G x P floats do not grow with S
-            dists = np.linalg.norm(u[s] + (1.0 - K) / K * alpha_grid[:, None] * v[s], axis=1)
+            # one instance at a time, so that the sweep's G x P floats do not grow with S
+            dists = gls_distance(dr[s], df[s], dn[s], K, alpha_grid)
             if rep.condition_met:
                 i = int(np.argmin(dists))
                 rep.best_alpha = float(alpha_grid[i])

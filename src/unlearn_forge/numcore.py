@@ -34,7 +34,8 @@ def solve_damped(A: np.ndarray, b: np.ndarray, damping: float = 0.0) -> np.ndarr
     """Solve (A + damping*I) x = b with a direct dense factorization.
 
     A must be square and symmetric-shaped; the residual is checked against
-    1e-8 * (1 + ||b||) and a SolverError is raised if it is exceeded.
+    1e-8 * (1 + ||b||) and a SolverError is raised if it is exceeded or if
+    ||b|| is not finite.
 
     A stack of systems, A of shape (..., P, P) and b of shape (..., P), is
     solved in one call; each x has the bits of its own 2-D call, each
@@ -56,13 +57,17 @@ def solve_damped(A: np.ndarray, b: np.ndarray, damping: float = 0.0) -> np.ndarr
         x = np.linalg.solve(M, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular system: {exc}") from exc
-    r = (M @ x[..., None])[..., 0] - b
-    residual = np.sqrt(row_dot(r))
-    tol = 1e-8 * (1.0 + np.sqrt(row_dot(b)))
-    bad = ~(residual <= tol)  # a NaN residual fails too
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = (M @ x[..., None])[..., 0] - b
+        residual = np.sqrt(row_dot(r))
+        tol = 1e-8 * (1.0 + np.sqrt(row_dot(b)))
+    unchecked = ~np.isfinite(tol)
+    bad = unchecked | ~(residual <= tol)  # a NaN residual fails too
     if bad.any():
         first = tuple(np.argwhere(bad)[0])
         where = f" in system {', '.join(map(str, first))}" if bad.size > 1 else ""
+        if unchecked[first]:
+            raise SolverError(f"||b|| is not finite, so the residual cannot be checked{where}")
         raise SolverError(f"solve residual {residual[first]:.3e} above tolerance "
                           f"{tol[first]:.3e}{where}")
     return x

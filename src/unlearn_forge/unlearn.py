@@ -154,9 +154,12 @@ def random_label(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: Unle
 def influence_unlearn(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: UnlearnConfig,
                       seeds):
     """Single closed-form influence update, no iterations:
-    theta_u = theta + influence.delta_f with ``cfg.damping`` (logistic only)."""
+    theta_u = theta + influence.delta_f with ``cfg.damping`` (logistic only),
+    under the engine's ``np.errstate``: the solve's and the softmax's typed
+    errors name an overflow."""
     retain, forget = ds.subset(split.retain_idx), ds.subset(split.forget_idx)
-    theta = model.theta + influence.delta_f(model, retain, forget, cfg.damping)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = model.theta + influence.delta_f(model, retain, forget, cfg.damping)
     return _stack(model.with_theta(theta), seeds), [[] for _ in seeds]
 
 

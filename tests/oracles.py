@@ -14,7 +14,8 @@ instance's theorem check as it was written before the checks were stacked,
 and ``evaluate_ref`` one model's metrics as they were written before the
 evaluation was stacked: each stacked result must equal them bit for bit.
 ``ratio_table_max_log_ratio`` is the label-LDP ratio taken over the whole
-K x K prediction table.
+K x K prediction table.  ``delta_r`` and ``delta_n`` are the 2-D forms of two
+influence directions the stacked theorem checks compute.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from unlearn_forge import influence, metrics, models
 from unlearn_forge.errors import DimensionError, DomainError
 from unlearn_forge.models import Model, n_params, onehot
-from unlearn_forge.numcore import rng_stream, solve_damped
+from unlearn_forge.numcore import DEFAULT_DAMPING, rng_stream, solve_damped
 from unlearn_forge.privacy import LdpParams, optimal_prediction_distribution
 
 
@@ -290,6 +291,20 @@ def theory_report_ref(theta_tr: Model, theta_r: Model, tr, retain, forget, dampi
         rep.best_alpha = float(alpha_grid[i])
         rep.dist_gls_at_best_alpha = float(dists[i])
     return rep
+
+
+def delta_r(theta_r_model: Model, tr, damping: float = DEFAULT_DAMPING) -> np.ndarray:
+    """Learning-gap direction evaluated at the retrained optimum."""
+    H = influence._sum_hessian(theta_r_model, tr.X, tr.y)
+    g = influence._sum_grad(theta_r_model, tr.X, tr.y)
+    return solve_damped(H, g, damping)
+
+
+def delta_n(theta_tr_model: Model, retain, forget, damping: float = DEFAULT_DAMPING) -> np.ndarray:
+    """Non-target-label smoothing direction (1/(K-1) normalized)."""
+    H = influence._sum_hessian(theta_tr_model, retain.X, retain.y)
+    g = influence.nontarget_grad_sum(theta_tr_model, forget)
+    return solve_damped(H, g, damping) / (theta_tr_model.K - 1)
 
 
 def evaluate_ref(model: Model, forget, retain, test, seed: int) -> metrics.MetricsReport:

@@ -478,6 +478,30 @@ class TestModelFileKind:
         assert json.loads(capsys.readouterr().out)["method"] == "iu"
 
 
+class TestUnlearnModelShape:
+    """``unlearn --model`` on data of another (d, K), and the order of its checks."""
+    @pytest.mark.parametrize("extra, shape", [("data.dim = 4\n", "(4, 3)"),
+                                              ("data.k = 4\n", "(5, 4)")], ids=["d", "K"])
+    def test_model_of_another_shape_exit_2(self, tmp_path, capsys, extra, shape):
+        path = tmp_path / "other.model"
+        assert cli.main(["train", "--config", write_cfg(tmp_path, extra), "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["unlearn", "--config", write_cfg(tmp_path), "--model", str(path),
+                         "--method", "ga", "--seed", "0"]) == 2
+        assert capsys.readouterr().err == (f"error: config: model {path} has (d, K) = {shape}, "
+                                           f"the data has (5, 3)\n")
+
+    def test_iu_on_an_mlp_file_builds_no_data(self, tmp_path, capsys, monkeypatch):
+        path = TestModelFileKind.model_file(tmp_path, "mlp")
+
+        def fail(*_):
+            raise AssertionError("built data before the method was checked")
+        monkeypatch.setattr(experiment, "build_datasets", fail)
+        capsys.readouterr()
+        assert cli.main(["unlearn", "--model", path, "--method", "iu"]) == 2
+        assert "iu" in capsys.readouterr().err
+
+
 # the whole command-line surface: each subcommand and the flags it reads
 SURFACE = {
     "gen-data": {"--config", "--out"},

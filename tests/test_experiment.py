@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
-from unlearn_forge import cli, config, data, experiment, unlearn
+from unlearn_forge import cli, config, data, experiment, models, unlearn
 from unlearn_forge.config import default_config
 from unlearn_forge.errors import ConfigError, DomainError
 from unlearn_forge.models import TrainConfig
@@ -72,6 +72,30 @@ def test_retrain_cell_reruns_the_training_schedule():
     again, _ = experiment.run_cell({**cfg, "unlearn.epochs": 3, "unlearn.lr": 0.5}, "retrain", 2,
                                    ds, eval_test, split, model)
     assert again.model.theta.tobytes() == cell.model.theta.tobytes()
+
+
+class TestUnlearnCell:
+    CFG = {**default_config(), "data.per_class": 20, "data.test_per_class": 20,
+           "train.epochs": 7}
+
+    @pytest.mark.parametrize("given", [False, True], ids=["trained", "given"])
+    def test_is_run_cell_on_the_configured_inputs(self, given):
+        cfg = self.CFG
+        ds, test = experiment.build_datasets(cfg)
+        split, eval_test = experiment.build_split(cfg, ds, test)
+        model = experiment.train_original(cfg, ds)
+        result, report = experiment.unlearn_cell(cfg, "ugradsl", 3, model if given else None)
+        expected, expected_report = experiment.run_cell(cfg, "ugradsl", 3, ds, eval_test, split,
+                                                        model)
+        assert result.model.theta.tobytes() == expected.model.theta.tobytes()
+        assert result.history == expected.history
+        assert report == expected_report
+
+    def test_a_model_of_another_shape_is_a_config_error(self):
+        model = models.init_model("logistic", 4, 3)
+        with pytest.raises(ConfigError, match=r"^model m\.model has \(d, K\) = \(4, 3\), "
+                                              r"the data has \(5, 3\)$"):
+            experiment.unlearn_cell(self.CFG, "ga", 0, model, "m.model")
 
 
 class SerialPool:

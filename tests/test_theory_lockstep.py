@@ -174,6 +174,17 @@ class TestVerifyTheoryGroups:
                 for i, rep in enumerate(loop)]
         assert json.dumps(report["instances"]) == json.dumps(rows)
 
+    def test_best_alpha_distance_is_gls_distance(self):
+        cfg = {**default_config(), "theory.instances": 30}
+        problems = [problem for _, problem in next(experiment.theory_groups(cfg))]
+        reports = [rep for rep, *_ in experiment.theory_instances(cfg, problems, grid(cfg))]
+        met = [rep for rep in reports if rep.condition_met]
+        assert met
+        for rep in met:
+            dist = influence.gls_distance(rep.delta_r, rep.delta_f, rep.delta_n, 3,
+                                          [rep.best_alpha])
+            assert float(dist[0]).hex() == rep.dist_gls_at_best_alpha.hex()
+
     def test_groups_fill_the_budget(self):
         cfg = {**default_config(), "theory.instances": 100}
         ds = experiment.theory_data(cfg, 0)[0]

@@ -1,13 +1,21 @@
 """Typed errors at the library's input boundaries: each bad input raises the
 package error that names it, not a numpy or Python error from deeper in."""
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import make_blobs, random_model
-from unlearn_forge import data, models, smoothing
-from unlearn_forge.errors import DimensionError, DomainError, UnsupportedModelError
+from unlearn_forge import cli, data, models, smoothing
+from unlearn_forge.errors import DimensionError, DomainError, SolverError, UnsupportedModelError
 from unlearn_forge.metrics import mia_accuracy_additional, mia_score, streisand
+from unlearn_forge.modelio import save_model
+from unlearn_forge.numcore import solve_damped
 
 
 class TestLabeledDataset:
@@ -95,3 +103,62 @@ class TestMetricsOnEmptySets:
         args[empty] = none
         with pytest.raises(DomainError, match="empty dataset"):
             fn(model, *args)
+
+
+class TestUnlearnOverflow:
+    """Influence unlearning on a model whose parameters are 1e200: an
+    overflow is a typed error, and its one ``error:`` line is all that
+    reaches stderr."""
+    @staticmethod
+    def huge_model(tmp_path):
+        path = tmp_path / "huge.model"
+        m = models.init_model("logistic", 5, 3, 1e-2)
+        save_model(m.with_theta(np.full(m.theta.size, 1e200)), path)
+        return str(path)
+
+    @staticmethod
+    def run_cli(argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        assert [str(w.message) for w in caught] == []
+        return code, capsys.readouterr().err
+
+    def test_solve_of_an_overflowing_rhs(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=r"^\|\|b\|\| is not finite, so the residual "
+                                                  r"cannot be checked$"):
+                solve_damped(np.eye(3), np.full(3, 1e200))
+
+    def test_stacked_solve_names_the_overflowing_system(self):
+        b = np.ones((3, 3))
+        b[2] = 1e200
+        with pytest.raises(SolverError, match=r"cannot be checked in system 2$"):
+            solve_damped(np.stack([np.eye(3)] * 3), b)
+
+    def test_iu_exit_4(self, tmp_path, capsys):
+        code, err = self.run_cli(["unlearn", "--model", self.huge_model(tmp_path),
+                                  "--method", "iu"], capsys)
+        assert (code, err) == (4, "error: solver: ||b|| is not finite, so the residual "
+                                  "cannot be checked\n")
+
+    def test_iu_on_a_huge_row_exit_3(self, tmp_path, capsys):
+        ds = make_blobs(K=3, per_class=10, d=5)
+        ds.X[4] = 1e160
+        csv = tmp_path / "huge.csv"
+        data.save_dataset(ds, csv)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"data.file = {csv}\n")
+        code, err = self.run_cli(["unlearn", "--config", str(cfg), "--model",
+                                  self.huge_model(tmp_path), "--method", "iu"], capsys)
+        assert (code, err) == (3, "error: domain: logits must be finite\n")
+
+    def test_stderr_of_the_command(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-m", "unlearn_forge.cli", "unlearn", "--model",
+                              self.huge_model(tmp_path), "--method", "iu"],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert (out.returncode, out.stdout) == (4, "")
+        assert out.stderr == ("error: solver: ||b|| is not finite, so the residual "
+                              "cannot be checked\n")
