@@ -64,7 +64,21 @@ def build_datasets(cfg: dict) -> tuple[data.LabeledDataset, data.LabeledDataset]
 
 def build_split(cfg: dict, ds: data.LabeledDataset,
                 test: data.LabeledDataset) -> tuple[data.ForgetSplit, data.LabeledDataset]:
-    """The configured forget split and the test set to evaluate it on."""
+    """The configured forget split and the test set to evaluate it on; a
+    split that leaves no retain row is a ConfigError, raised before any
+    training."""
+    split, eval_test = _configured_split(cfg, ds, test)
+    if split.retain_idx.size == 0:
+        # a random split keeps rows of every class, since split.fraction < 1
+        paradigm = cfg["split.paradigm"]
+        key = "split.class" if paradigm == "classwise" else "split.groups"
+        raise ConfigError(f"split.paradigm = {paradigm} with {key} = {cfg[key]} forgets all "
+                          f"{ds.n} training rows and leaves no retain row")
+    return split, eval_test
+
+
+def _configured_split(cfg: dict, ds: data.LabeledDataset,
+                      test: data.LabeledDataset) -> tuple[data.ForgetSplit, data.LabeledDataset]:
     paradigm = cfg["split.paradigm"]
     if paradigm == "classwise":
         if cfg["split.class"] >= cfg["data.k"]:

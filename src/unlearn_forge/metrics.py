@@ -149,7 +149,8 @@ def evaluate(model: Model, forget: LabeledDataset, retain: LabeledDataset, test:
     of S seeds, and the result is one report per row, each the bits of that
     row's own call.  Either way one ``forward`` per set gives every row's
     probabilities, from which the accuracies and the attacks' per-example
-    losses are taken; the attacks then run once per row."""
+    losses are taken; the attacks then run once per row.  A forward that
+    fails raises its DomainError naming the set it ran on."""
     if forget.n == 0 or retain.n == 0 or test.n == 0:
         raise DomainError("empty dataset")
     single = model.theta.ndim == 1
@@ -158,7 +159,14 @@ def evaluate(model: Model, forget: LabeledDataset, retain: LabeledDataset, test:
     if len(seeds) != len(stack.theta):
         raise DimensionError(f"{len(seeds)} seeds for {len(stack.theta)} models")
     sets = (forget, retain, test)
-    probs = [models.forward(stack, ds.X) for ds in sets]
+    probs = []
+    # like the engine, let the typed error name an overflow, here with its set
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, ds in zip(("forget", "retain", "test"), sets):
+            try:
+                probs.append(models.forward(stack, ds.X))
+            except DomainError as exc:
+                raise type(exc)(f"evaluating on the {name} rows: {exc}") from exc
     hits = [np.argmax(p, axis=-1) == ds.y for p, ds in zip(probs, sets)]
     losses = [_label_losses(p, ds.y) for p, ds in zip(probs, sets)]
     reports = []

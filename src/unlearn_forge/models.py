@@ -38,7 +38,8 @@ The kernels are called thousands of times on batches of a few dozen rows, so
 they reuse their own temporaries (``out=``, in-place updates) wherever that
 leaves every floating-point operation as it was; the results are bit for bit
 those of the plain expressions.  The fixed costs of a step are paid once per
-run: a model keeps the views of theta that ``logits`` multiplies by, the
+run: a model caches the views of theta that ``logits`` multiplies by (a
+``cached_property``: theta is set once per model and stepped in place), the
 engine's callers write each gradient into one buffer per run, and a gradient
 on one-hot labels skips the scaling by their row sums, all exactly 1.0.
 """
@@ -58,7 +59,6 @@ log = logging.getLogger("unlearn_forge")
 
 _P_FLOOR = 1e-300
 _SUM_TOL = 1e-9 + 1e-5  # soft-label row sums must lie within this of 1
-_VIEWS = "_logit_views"  # where a Model keeps ``_logit_views`` of its theta
 
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 200
@@ -110,12 +110,23 @@ class Model:
         of this theta stay behind."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, theta=theta)
-        new.__dict__.pop(_VIEWS, None)
+        new.__dict__.pop("_logit_views", None)
         return new
 
     def __getstate__(self):
         # a copy or another process builds the views of its own theta
-        return {k: v for k, v in self.__dict__.items() if k != _VIEWS}
+        return {k: v for k, v in self.__dict__.items() if k != "_logit_views"}
+
+    @functools.cached_property
+    def _logit_views(self) -> tuple:
+        """The views of theta that ``logits`` multiplies by: (W^T, b[..., None, :])
+        for a logistic model, (W1^T, b1[..., None, :], W2, W2^T, b2[..., None, :])
+        for an mlp; built once per model, so once per run stepping it in place."""
+        if self.kind == "logistic":
+            W, b = _unpack_logistic(self)
+            return W.swapaxes(-1, -2), b[..., None, :]
+        W1, b1, W2, b2 = _unpack_mlp(self)
+        return W1.swapaxes(-1, -2), b1[..., None, :], W2, W2.swapaxes(-1, -2), b2[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -174,34 +185,15 @@ def _unpack_mlp(model: Model, t: np.ndarray | None = None):
     return W1, b1, W2, b2
 
 
-def _logit_views(model: Model) -> tuple:
-    """The views of theta that ``logits`` multiplies by: (W^T, b[..., None, :])
-    for a logistic model, (W1^T, b1[..., None, :], W2, W2^T, b2[..., None, :])
-    for an mlp.  They are kept on the model with the theta array they view,
-    and rebuilt only for another array, so a run that steps one model's theta
-    in place builds them once."""
-    kept = model.__dict__.get(_VIEWS)
-    if kept is not None and kept[0] is model.theta:
-        return kept[1]
-    if model.kind == "logistic":
-        W, b = _unpack_logistic(model)
-        views = (W.swapaxes(-1, -2), b[..., None, :])
-    else:
-        W1, b1, W2, b2 = _unpack_mlp(model)
-        views = (W1.swapaxes(-1, -2), b1[..., None, :], W2, W2.swapaxes(-1, -2), b2[..., None, :])
-    model.__dict__[_VIEWS] = (model.theta, views)
-    return views
-
-
 def logits(model: Model, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim < 2 or X.shape[-1] != model.d:
         raise DimensionError(f"X has shape {X.shape}, expected (n, {model.d})")
     if model.kind == "logistic":
-        W_T, b = _logit_views(model)
+        W_T, b = model._logit_views
         Z = X @ W_T
     else:
-        W1_T, b1, _, W2_T, b = _logit_views(model)
+        W1_T, b1, _, W2_T, b = model._logit_views
         Z = np.tanh(X @ W1_T + b1) @ W2_T
     Z += b
     return Z
@@ -263,7 +255,7 @@ def ce_loss(model: Model, X: np.ndarray, soft: np.ndarray) -> float | np.ndarray
     logp *= soft
     # the row mean as np.mean computes it (sum, then divide by the count),
     # without its per-call Python overhead
-    data = -(row_sum(logp).sum(axis=-1) / X.shape[-2]) if X.shape[-2] else 0.0
+    data = -(row_sum(logp).sum(axis=-1) / X.shape[-2]) if X.shape[-2] else np.zeros(p.shape[:-2])
     loss = data + 0.5 * model.l2 * row_dot(model.theta)
     return float(loss) if loss.ndim == 0 else loss
 
@@ -284,7 +276,8 @@ def _grad(model: Model, X: np.ndarray, soft: np.ndarray, sums=None,
     batch's gradient is written into, of the result's shape."""
     n = X.shape[-2]
     if n == 0:
-        return model.l2 * model.theta.copy()
+        lead = np.broadcast_shapes(model.theta.shape[:-1], X.shape[:-2], soft.shape[:-2])
+        return np.broadcast_to(model.l2 * model.theta, lead + model.theta.shape[-1:]).copy()
     dlogits = forward(model, X)
     if sums is None:
         sums = row_sum(soft)
@@ -300,7 +293,7 @@ def _grad(model: Model, X: np.ndarray, soft: np.ndarray, sums=None,
         np.matmul(dlogits_T, X, out=gW)
         dlogits.sum(axis=-2, out=gb)
     else:
-        W1_T, b1, W2, _, _ = _logit_views(model)
+        W1_T, b1, W2, _, _ = model._logit_views
         gW1, gb1, gW2, gb2 = _unpack_mlp(model, g)
         A = np.tanh(X @ W1_T + b1)
         dZ = dlogits @ W2
@@ -404,8 +397,8 @@ def minibatch_sgd(model: Model, n: int, cfg, rngs, epoch_grad, loss_rows,
     whose theta is stepped in place, so it may not keep it past the call,
     and the step scales the gradient it returns in place (the product
     ``g * lr`` has the bits of ``lr * g``), so that may be one buffer reused
-    by every step.  Ascent closures return the negated gradient.  Returns
-    the stepped model and one loss history per run.
+    by every step.  An ascent (``_sgd``'s) returns the negated gradient.
+    Returns the stepped model and one loss history per run.
 
     Divergence is decided once per epoch: a DomainError from the epoch's
     steps or its loss (``softmax_rows`` refusing logits that overflowed), or
@@ -458,9 +451,10 @@ def sgd_train(model: Model, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
 
 
 def _sgd(model: Model, X: np.ndarray, y: np.ndarray, cfg: TrainConfig, rngs,
-         name: str) -> tuple[Model, list[list[float]]]:
+         name: str, ascent: bool = False) -> tuple[Model, list[list[float]]]:
     """``sgd_train`` of the (S, P) stack ``model.theta`` with one generator
-    per run, naming the run ``name`` when it diverges."""
+    per run, naming the run ``name`` when it diverges; with ``ascent`` each
+    step climbs the loss, its gradient negated in place."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise DomainError("cannot train on an empty dataset")
@@ -470,6 +464,8 @@ def _sgd(model: Model, X: np.ndarray, y: np.ndarray, cfg: TrainConfig, rngs,
     def epoch_grad(orders):
         Xo = X[orders]
         So = labels[orders] if labels.ndim == 2 else np.take_along_axis(labels, orders[..., None], 1)
+        if ascent:
+            return lambda m, lo, hi: np.negative(_grad(m, Xo[:, lo:hi], So[:, lo:hi], 1.0, g), out=g)
         return lambda m, lo, hi: _grad(m, Xo[:, lo:hi], So[:, lo:hi], 1.0, g)
     return minibatch_sgd(model, X.shape[0], cfg, rngs, epoch_grad, (X, labels), name)
 

@@ -11,16 +11,16 @@ seeds=[...])`` returns one result per seed, each with the bits of that seed's
 own run, and charges each the call's wall-clock divided by the number of
 seeds.  Every iterative method runs on the one minibatch loop
 ``models.minibatch_sgd`` with all the seeds' parameter vectors stacked:
-retrain, FT and RL through ``sgd_train``'s body, GA and UGradSL(+) with their
-own ``epoch_grad``, each naming its method when it diverges.  Each seed keeps
-its own generator; a method draws every seed's randomness (shuffles, UGradSL
-partners, RL's wrong labels, an MLP's initial weights) and stacks it.  Once
-per epoch ``epoch_grad`` gathers the rows of that epoch's shuffled orders (for
-UGradSL also the partner rows, the smooth rates and the smoothed labels), and
-each step takes the gradient on a slice of them.  IU draws nothing, so it
-computes its update once for all seeds.  A method body returns only the
-stacked model and one history per seed: the ``_lockstep`` wrapper around it is
-the one reader of the clock.
+retrain, FT, RL and GA (negated) through ``sgd_train``'s body, UGradSL(+)
+with its own ``epoch_grad``, each naming its method when it diverges.  Each
+seed keeps its own generator; a method draws every seed's randomness
+(shuffles, UGradSL partners, RL's wrong labels, an MLP's initial weights) and
+stacks it.  Once per epoch ``epoch_grad`` gathers the rows of that epoch's
+shuffled orders (for UGradSL also the partner rows, the smooth rates and the
+smoothed labels), and each step takes the gradient on a slice of them.  IU
+draws nothing, so it computes its update once for all seeds.  A method body
+returns only the stacked model and one history per seed: the ``_lockstep``
+wrapper around it is the one reader of the clock.
 """
 
 from __future__ import annotations
@@ -121,16 +121,8 @@ def gradient_ascent(model: Model, ds: LabeledDataset, split: ForgetSplit, cfg: U
                     seeds):
     """SGD on the negated loss over the forget rows only."""
     forget = ds.subset(split.forget_idx)
-    labels = onehot(forget.y, model.K)
-    g = np.empty((len(seeds), model.theta.size))
-
-    def epoch_grad(orders):
-        Xo, So = forget.X[orders], labels[orders]
-        return lambda m, lo, hi: np.negative(models._grad(m, Xo[:, lo:hi], So[:, lo:hi], 1.0, g),
-                                             out=g)
-    return models.minibatch_sgd(_stack(model, seeds), forget.n, cfg,
-                                [rng_stream(s, 2) for s in seeds], epoch_grad,
-                                (forget.X, labels), "ga")
+    return models._sgd(_stack(model, seeds), forget.X, forget.y, cfg,
+                       [rng_stream(s, 2) for s in seeds], "ga", ascent=True)
 
 
 @_lockstep

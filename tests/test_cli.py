@@ -463,7 +463,7 @@ class TestModelFileKind:
 
         def fail(*_):
             raise AssertionError("built data before the method was checked")
-        monkeypatch.setattr(cli, "build_datasets", fail)
+        monkeypatch.setattr(experiment, "build_datasets", fail)
         capsys.readouterr()
         assert cli.main(["unlearn", "--config", cfgp, "--model", path] + argv) == 2
         err = capsys.readouterr().err
@@ -479,7 +479,7 @@ class TestModelFileKind:
 
 
 class TestUnlearnModelShape:
-    """``unlearn --model`` on data of another (d, K), and the order of its checks."""
+    """``unlearn --model`` on data of another (d, K)."""
     @pytest.mark.parametrize("extra, shape", [("data.dim = 4\n", "(4, 3)"),
                                               ("data.k = 4\n", "(5, 4)")], ids=["d", "K"])
     def test_model_of_another_shape_exit_2(self, tmp_path, capsys, extra, shape):
@@ -490,16 +490,6 @@ class TestUnlearnModelShape:
                          "--method", "ga", "--seed", "0"]) == 2
         assert capsys.readouterr().err == (f"error: config: model {path} has (d, K) = {shape}, "
                                            f"the data has (5, 3)\n")
-
-    def test_iu_on_an_mlp_file_builds_no_data(self, tmp_path, capsys, monkeypatch):
-        path = TestModelFileKind.model_file(tmp_path, "mlp")
-
-        def fail(*_):
-            raise AssertionError("built data before the method was checked")
-        monkeypatch.setattr(experiment, "build_datasets", fail)
-        capsys.readouterr()
-        assert cli.main(["unlearn", "--model", path, "--method", "iu"]) == 2
-        assert "iu" in capsys.readouterr().err
 
 
 # the whole command-line surface: each subcommand and the flags it reads
@@ -744,6 +734,32 @@ class TestFileErrors:
         assert cli.main([command, "--config", cfgp]) == 2
         err = capsys.readouterr().err
         assert "error: config: split.groups " in err and f"data.file {csv} " in err
+
+
+class TestNoRetainRow:
+    """A split that forgets every training row is exit 2 naming the
+    paradigm and its key, before the original model is trained."""
+    @pytest.mark.parametrize("command", ["unlearn --seed 0 --method ga",
+                                         "unlearn --seed 0 --method rl", "benchmark"])
+    @pytest.mark.parametrize("split", ["group", "classwise"])
+    def test_exit_2_before_training(self, tmp_path, capsys, monkeypatch, command, split):
+        def fail(*_):
+            raise AssertionError("trained before the split was checked")
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "train_original", fail)
+        if split == "group":
+            groups = "split.groups = 0,1,2,3,4,5"
+            extra, named, n = f"split.paradigm = group\n{groups}\n", groups, 60
+        else:
+            csv = tmp_path / "one-class.csv"
+            ds = data.gen_blobs(2, 10, 5, 1.0, 1, np.random.default_rng(0))
+            keep = ds.y == 0
+            data.save_dataset(data.LabeledDataset(ds.X[keep], ds.y[keep], 2), csv)
+            extra, named, n = f"data.file = {csv}\ndata.k = 2\n", "split.class = 0", 10
+        assert cli.main(command.split() + ["--config", write_cfg(tmp_path, extra)]) == 2
+        assert capsys.readouterr().err == (f"error: config: split.paradigm = {split} with {named} "
+                                           f"forgets all {n} training rows and leaves no retain "
+                                           "row\n")
 
 
 class TestConfigChecksBeforeWork:

@@ -279,6 +279,35 @@ class TestStackedBitForBit:
             assert same_bits(g[s], grad_ref(m, Xs, soft_s))
 
 
+class TestEmptyStackedBatch:
+    """An (S, 0, d) batch on a 1-D theta gives S results like any stacked
+    call: the gradient l2 * theta, the loss 0.5 * l2 * theta . theta and the
+    Hessian l2 * I, each with the bits of its 2-D call."""
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_shapes_and_values(self, kind):
+        m, _, _ = instance(11, 0, 3, "onehot", kind=kind, scale=3.0)
+        S, P = 4, m.theta.size
+        X, soft = np.zeros((S, 0, m.d)), np.zeros((S, 0, m.K))
+        g, loss = models.grad(m, X, soft), models.ce_loss(m, X, soft)
+        assert (g.shape, loss.shape) == ((S, P), (S,))
+        for s in range(S):
+            assert same_bits(g[s], m.l2 * m.theta)
+            assert same_bits(g[s], models.grad(m, X[s], soft[s]))
+            assert same_bits(loss[s], ce_loss_ref(m, X[s], soft[s]))
+            assert same_bits(loss[s], models.ce_loss(m, X[s], soft[s]))
+        if kind == "logistic":
+            H = models.hessian(m, X, soft)
+            assert H.shape == (S, P, P)
+            assert all(same_bits(H[s], m.l2 * np.eye(P)) for s in range(S))
+
+    def test_2d_calls_keep_their_bits(self):
+        m, X, soft = instance(12, 0, 3, "onehot", scale=3.0)
+        assert same_bits(models.grad(m, X, soft), grad_ref(m, X, soft))
+        loss = models.ce_loss(m, X, soft)
+        assert type(loss) is float and same_bits(loss, ce_loss_ref(m, X, soft))
+        assert same_bits(models.hessian(m, X, soft), hessian_ref(m, X, soft))
+
+
 class TestOneHotGradient:
     """``_grad`` told that its labels are one-hot (``sums`` = 1.0) skips the
     scaling by the row sums and keeps the scaled form's bits."""

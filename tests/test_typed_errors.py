@@ -154,6 +154,22 @@ class TestUnlearnOverflow:
                                   self.huge_model(tmp_path), "--method", "iu"], capsys)
         assert (code, err) == (3, "error: domain: logits must be finite\n")
 
+    def test_evaluation_overflow_names_its_set(self, tmp_path, capsys):
+        # training rows scaled by 1e-300 keep the logits finite; the generated
+        # test rows overflow them
+        path = tmp_path / "max.model"
+        m = models.init_model("logistic", 5, 3, 0.0)
+        save_model(m.with_theta(np.full(m.theta.size, 1e308)), path)
+        ds = make_blobs(K=3, per_class=20, d=5)
+        csv = tmp_path / "tiny.csv"
+        data.save_dataset(data.LabeledDataset(ds.X * 1e-300, ds.y, 3), csv)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(f"model.l2 = 0.0\ndata.file = {csv}\n")
+        code, err = self.run_cli(["unlearn", "--config", str(cfg), "--model", str(path),
+                                  "--method", "iu"], capsys)
+        assert (code, err) == (3, "error: domain: evaluating on the test rows: "
+                                  "logits must be finite\n")
+
     def test_stderr_of_the_command(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-m", "unlearn_forge.cli", "unlearn", "--model",
