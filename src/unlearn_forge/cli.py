@@ -143,10 +143,10 @@ def cmd_unlearn(args) -> int:
               else methods(cfg, *kind)[0])
     seeds = parse_seeds(cfg["seeds"])
     seed = seeds[0]
+    result, report = unlearn_cell(cfg, method, seed, model, args.model)
     if len(seeds) > 1:
         print(f"warning: seeds = {cfg['seeds']} names {len(seeds)} seeds and unlearn runs one, "
               f"the first ({seed}); pick it with --seed", file=sys.stderr)
-    result, report = unlearn_cell(cfg, method, seed, model, args.model)
     if args.out:
         with file_named_by("--out", args.out):
             save_model(result.model, args.out)

@@ -161,12 +161,11 @@ def load_dataset(path, K: int | None = None) -> LabeledDataset:
     with open(path) as fh:
         header = fh.readline().strip()
         cols = header.split(",")
-        if not cols or cols[-1] not in ("label", "group"):
-            raise DomainError(f"malformed dataset header: {header!r}")
         has_group = cols[-1] == "group"
         d = len(cols) - (2 if has_group else 1)
-        if cols[:d] != [f"f{i}" for i in range(d)] or cols[d] != "label":
-            raise DomainError(f"malformed dataset header: {header!r}")
+        # f0, ..., f{d-1}, label[, group] with at least one feature column
+        if d < 1 or cols[:d] != [f"f{i}" for i in range(d)] or cols[d] != "label":
+            raise DomainError(f"{path}: malformed dataset header: {header!r}")
         start = fh.tell()
         rows = _parse_rows(fh, d, has_group)
         if rows is None:

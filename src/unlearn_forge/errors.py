@@ -21,6 +21,11 @@ class DimensionError(DomainError):
     """Shape or dimension mismatch between arrays."""
 
 
+class ModelFileError(ConfigError, DomainError):
+    """A model file whose header describes no model: an input file to fix, so
+    a config error (exit 2), carrying the DomainError of the description."""
+
+
 class SolverError(UnlearnForgeError):
     """A linear solve failed to reach the required residual."""
 

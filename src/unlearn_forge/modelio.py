@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, ModelFileError
 from .models import Model, n_params
 
 MAGIC = "unlearn-forge-model v1"
@@ -47,7 +47,11 @@ def load_model(path) -> Model:
         theta = np.array([float(v) for v in lines[7:7 + count]], dtype=np.float64)
     except (KeyError, ValueError, IndexError) as exc:
         raise ConfigError(f"malformed model file {path}: {exc}") from exc
-    if theta.size != count or count != n_params(kind, d, K, hidden):
+    try:
+        expected = n_params(kind, d, K, hidden)
+    except DomainError as exc:
+        raise ModelFileError(f"model file {path}: {exc}") from exc
+    if theta.size != count or count != expected:
         raise ConfigError(f"model file {path}: parameter count mismatch")
     if len(lines) > 7 + count:
         raise ConfigError(f"model file {path}: a line after the theta {count} parameters")

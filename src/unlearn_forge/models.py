@@ -77,13 +77,9 @@ class Model:
     hidden: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("logistic", "mlp"):
-            raise DomainError(f"unknown model kind {self.kind!r}")
-        if self.K < 2:
-            raise DomainError("need at least 2 classes")
+        expected = n_params(self.kind, self.d, self.K, self.hidden)
         if not 0 <= self.l2 < np.inf:  # false for nan too
             raise DomainError(f"l2 is {self.l2}, not a finite value >= 0")
-        expected = n_params(self.kind, self.d, self.K, self.hidden)
         if self.theta.shape != (expected,):
             raise DimensionError(f"theta has shape {self.theta.shape}, expected ({expected},)")
 
@@ -142,9 +138,17 @@ class TrainConfig:
 
 
 def n_params(kind: str, d: int, K: int, hidden: int = 0) -> int:
+    """The parameter count of a model of this description; a DomainError
+    when no model has it."""
+    if kind not in ("logistic", "mlp"):
+        raise DomainError(f"unknown model kind {kind!r}")
+    if K < 2:
+        raise DomainError("need at least 2 classes")
+    if d < 1:
+        raise DomainError(f"need at least 1 feature, got d = {d}")
     if kind == "logistic":
         return K * d + K
-    if kind == "mlp" and hidden < 1:
+    if hidden < 1:
         raise DomainError(f"an mlp needs hidden >= 1, got {hidden}")
     return hidden * d + hidden + K * hidden + K
 

@@ -7,8 +7,14 @@ function says so.
 
 ``row_max`` and ``row_sum`` reduce the last axis with the bits of numpy's
 ``max``/``sum(axis=-1)``.  numpy reduces a short last axis one row at a time,
-its slowest loop; below ``PAIRWISE_BLOCK`` entries the two helpers instead
-make one elementwise pass per column over all rows at once.
+its slowest loop; the two helpers instead make one elementwise pass per
+column over all rows at once, by the shape of the call:
+
+- below ``PAIRWISE_BLOCK`` columns, always;
+- from ``PAIRWISE_BLOCK`` to twice that, on a contiguous last axis and at
+  least ``COLUMN_PASS_ROWS`` rows (counted over every leading axis);
+- otherwise never: numpy's loop is faster on few rows, and on wide rows
+  each strided column pass misses the cache.
 """
 
 from __future__ import annotations
@@ -18,10 +24,14 @@ import numpy as np
 from .errors import DimensionError, DomainError, SolverError
 
 DEFAULT_DAMPING = 1e-3
-# numpy's pairwise-summation block: it sums a row shorter than this left to
-# right from 0.0, so column passes in that order give its bits; a longer row
-# it adds in 8 partial sums, an order the column passes do not follow
+# numpy's pairwise-summation block: it sums a contiguous row shorter than
+# this left to right from 0.0; a row of up to 128 entries in 8 partial sums,
+# r_j = a[j] + a[j+8] + ..., combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+# then the K mod 8 tail left to right (Higham 1993 describes the method)
 PAIRWISE_BLOCK = 8
+# the fewest rows on which column passes beat numpy's loop at 8 <= K < 16:
+# the max breaks even near 300 rows of 10 classes, the sum near 500
+COLUMN_PASS_ROWS = 512
 
 
 def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -80,28 +90,58 @@ def row_dot(v: np.ndarray) -> np.ndarray:
 
 
 def row_max(a: np.ndarray) -> np.ndarray:
-    """``a.max(axis=-1)``, bit for bit; below ``PAIRWISE_BLOCK`` columns as
-    one ``np.maximum`` pass per column (a max is exact in any order).  Wider
-    rows keep numpy's loop, which beats the passes on few rows."""
+    """``a.max(axis=-1)``, bit for bit, as one ``np.maximum`` pass per column
+    where the module docstring's shape rule allows (a max is exact in any
+    order).  From ``PAIRWISE_BLOCK`` columns on, the passes and numpy's
+    SIMD max can differ in the sign of a zero maximum of a row that mixes
+    0.0 and -0.0, so numpy reduces those rows again; on a contiguous last
+    axis it gives them the bits it gives the whole array."""
     K = a.shape[-1]
-    if not 0 < K < PAIRWISE_BLOCK:
+    if 0 < K < PAIRWISE_BLOCK:
+        m = a[..., 0].copy()
+        for k in range(1, K):
+            np.maximum(m, a[..., k], out=m)
+        return m
+    if (a.size < COLUMN_PASS_ROWS * K or not PAIRWISE_BLOCK <= K < 2 * PAIRWISE_BLOCK
+            or a.strides[-1] != a.itemsize):
         return a.max(axis=-1)
     m = a[..., 0].copy()
     for k in range(1, K):
         np.maximum(m, a[..., k], out=m)
+    zero = m == 0.0
+    if zero.any():
+        m[zero] = a[zero].max(axis=-1)
     return m
 
 
 def row_sum(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-1)``, bit for bit; below ``PAIRWISE_BLOCK`` columns as
-    numpy sums such a row, ``0.0 + a[..., 0] + a[..., 1] + ...``, one pass
-    per column."""
+    """``a.sum(axis=-1)``, bit for bit, as one pass per column where the
+    module docstring's shape rule allows.  Below ``PAIRWISE_BLOCK`` columns
+    the passes add as numpy sums such a row, ``0.0 + a[..., 0] + a[..., 1] +
+    ...``.  From ``PAIRWISE_BLOCK`` to twice that, each of numpy's 8 partial
+    sums is one column, combined in its order with the tail added after;
+    the final ``+ 0.0`` is numpy adding the row's sum to its identity, which
+    turns an all -0.0 row's -0.0 into 0.0.  A last axis that is not
+    contiguous, Fortran order among them, numpy sums left to right, so it
+    keeps numpy's own reduction."""
     K = a.shape[-1]
-    if not 0 < K < PAIRWISE_BLOCK:
+    if 0 < K < PAIRWISE_BLOCK:
+        s = 0.0 + a[..., 0]
+        for k in range(1, K):
+            s += a[..., k]
+        return s
+    if (a.size < COLUMN_PASS_ROWS * K or not PAIRWISE_BLOCK <= K < 2 * PAIRWISE_BLOCK
+            or a.strides[-1] != a.itemsize):
         return a.sum(axis=-1)
-    s = 0.0 + a[..., 0]
-    for k in range(1, K):
+    # below 16 columns the partial sum r_j is column j itself
+    s = a[..., 0] + a[..., 1]
+    s += a[..., 2] + a[..., 3]
+    t = a[..., 4] + a[..., 5]
+    t += a[..., 6] + a[..., 7]
+    s += t
+    for k in range(PAIRWISE_BLOCK, K):
         s += a[..., k]
+    s += 0.0
     return s
 
 

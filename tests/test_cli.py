@@ -800,3 +800,61 @@ class TestConfigChecksBeforeWork:
         cfgp = write_cfg(tmp_path, "split.paradigm = foo\n")
         assert cli.main(["unlearn", "--config", cfgp, "--method", "ga"]) == 2
         assert "unknown paradigm 'foo'" in capsys.readouterr().err
+
+
+# (kind, d, K, hidden, theta count) of model files whose header describes no
+# model, each count the one its formula would give, and the reason named
+NO_MODEL_HEADERS = [("foo", 5, 3, 2, 21, "unknown model kind 'foo'"),
+                    ("mlp", 5, 3, 0, 3, "an mlp needs hidden >= 1, got 0"),
+                    ("logistic", 5, 1, 0, 6, "need at least 2 classes"),
+                    ("logistic", 0, 3, 0, 3, "need at least 1 feature, got d = 0"),
+                    ("logistic", -1, 3, 0, 0, "need at least 1 feature, got d = -1")]
+
+
+class TestModelFileDescribesNoModel:
+    """A model file whose header no model fits is a config error naming the
+    file, like every other malformed model file, not a domain error at the
+    first use of the model."""
+    @staticmethod
+    def model_file(tmp_path, kind, d, K, hidden, count):
+        p = tmp_path / "m.model"
+        p.write_text(f"unlearn-forge-model v1\nkind {kind}\nd {d}\nK {K}\nhidden {hidden}\n"
+                     f"l2 0.01\ntheta {count}\n" + "0\n" * count)
+        return p
+
+    @pytest.mark.parametrize("kind, d, K, hidden, count, reason", NO_MODEL_HEADERS)
+    def test_load_model(self, tmp_path, kind, d, K, hidden, count, reason):
+        p = self.model_file(tmp_path, kind, d, K, hidden, count)
+        with pytest.raises(ConfigError, match=re.escape(f"model file {p}: {reason}")):
+            load_model(p)
+
+    @pytest.mark.parametrize("kind, d, K, hidden, count, reason", NO_MODEL_HEADERS)
+    def test_unlearn_exit_2(self, tmp_path, capsys, kind, d, K, hidden, count, reason):
+        p = self.model_file(tmp_path, kind, d, K, hidden, count)
+        argv = ["unlearn", "--config", write_cfg(tmp_path), "--seed", "0", "--model", str(p)]
+        assert cli.main(argv + ["--method", "ga"]) == 2
+        assert capsys.readouterr().err == f"error: config: model file {p}: {reason}\n"
+
+
+class TestFeaturelessDataFile:
+    """A data file whose header names no feature column is a malformed
+    header, named with the file, before any test set is drawn."""
+    @pytest.mark.parametrize("text", ["label\n0\n1\n", "label,group\n0,3\n1,4\n"])
+    def test_unlearn_exit_3(self, tmp_path, capsys, text):
+        csv = tmp_path / "nofeatures.csv"
+        csv.write_text(text)
+        cfgp = write_cfg(tmp_path, f"data.file = {csv}\n")
+        assert cli.main(["unlearn", "--config", cfgp, "--seed", "0", "--method", "ga"]) == 3
+        header = text.split("\n")[0]
+        assert capsys.readouterr().err == (f"error: domain: {csv}: malformed dataset header: "
+                                           f"{header!r}\n")
+
+
+class TestSeedWarningAfterTheRun:
+    """``unlearn``'s warning that it runs only the first configured seed
+    comes after the run, so a command that fails prints its error alone."""
+    def test_config_error_prints_one_line(self, tmp_path, capsys):
+        cfgp = write_cfg(tmp_path, "split.paradigm = group\nsplit.groups = 0,1,2,3,4,5\n")
+        assert cli.main(["unlearn", "--method", "ga", "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1

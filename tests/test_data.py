@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,13 @@ class TestFileRoundTrip:
         path = tmp_path / "h.csv"
         path.write_text("a,b,c\n")
         with pytest.raises(DomainError):
+            data.load_dataset(path)
+
+    @pytest.mark.parametrize("header", ["label", "label,group"])
+    def test_header_without_features(self, tmp_path, header):
+        path = tmp_path / "h.csv"
+        path.write_text(f"{header}\n")
+        with pytest.raises(DomainError, match=re.escape(f"{path}: malformed dataset header")):
             data.load_dataset(path)
 
     def test_malformed_row(self, tmp_path):

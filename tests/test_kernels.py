@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ce_loss_ref, check_soft_ref, grad_ref, hessian_ref, softmax_rows_ref
+from oracles import (ce_loss_ref, check_soft_ref, forward_ref, grad_ref, hessian_ref,
+                     softmax_rows_ref)
 
-from unlearn_forge import models, smoothing
+from unlearn_forge import models, numcore, smoothing
 from unlearn_forge.errors import DimensionError, DomainError
 from unlearn_forge.models import onehot
 from unlearn_forge.numcore import row_max, row_sum, softmax_rows
@@ -408,3 +409,73 @@ class TestLogitViews:
         copy.theta[...] = rng.standard_normal(copy.theta.shape)
         fresh = m.with_stack(copy.theta.copy())
         assert same_bits(models.logits(copy, X), models.logits(fresh, X))
+
+
+CROSSOVER = numcore.COLUMN_PASS_ROWS
+# class counts around numpy's 8-sum block (8, 16) and its 128-entry pairwise
+# block (128); column passes run at 8 <= K < 16 only
+PASS_CLASSES = (8, 9, 10, 15, 16, 17, 64, 128, 129)
+
+
+def _lead_shapes(n):
+    """Leading shapes holding ``n`` rows: one axis, and a stack of the
+    smallest divisor of ``n`` (beyond 1) row sets."""
+    S = next(s for s in range(2, n + 1) if n % s == 0)
+    return (n,), (S, n // S)
+
+
+def _filled(seed, shape, fill):
+    """``reduction_input``, or with ``signed_zeros`` only 0.0 and -0.0."""
+    if fill == "signed_zeros":
+        return np.random.default_rng(seed).choice([0.0, -0.0], size=shape)
+    return reduction_input(seed, shape, fill)
+
+
+def _column_pass_layouts(seed, lead, K, fill):
+    """The (..., K) arrays of one fill a call may hand the reductions:
+    C order, rows a step apart, Fortran order and a last axis with a step."""
+    a = _filled(seed, lead + (K,), fill)
+    return {"C": a, "row-strided": _filled(seed + 1, (2 * lead[0],) + lead[1:] + (K,), fill)[::2],
+            "Fortran": np.asfortranarray(a),
+            "strided-last": _filled(seed + 2, lead + (2 * K,), fill)[..., ::2]}
+
+
+class TestColumnPassRows:
+    """From ``COLUMN_PASS_ROWS`` rows on, counted over every leading axis,
+    ``row_max``/``row_sum`` reduce 8 to 15 columns as column passes; on
+    either side of that row count, at every class count and layout, they
+    keep numpy's bits, leave the input alone and return a fresh array."""
+    @pytest.mark.parametrize("fill", ["mixed", "zero_rows", "specials", "signed_zeros"])
+    @pytest.mark.parametrize("K", PASS_CLASSES)
+    def test_equal_numpy_reductions(self, K, fill):
+        for n in (CROSSOVER - 1, CROSSOVER, CROSSOVER + 1):
+            for lead in _lead_shapes(n):
+                layouts = _column_pass_layouts(K * n + len(lead), lead, K, fill)
+                for name, a in layouts.items():
+                    before = a.copy()
+                    with np.errstate(invalid="ignore"):  # inf - inf in a row sum
+                        got_max, got_sum = row_max(a), row_sum(a)
+                        want_sum = a.sum(axis=-1)
+                    assert same_reduction(got_max, a.max(axis=-1)), (name, lead)
+                    assert same_reduction(got_sum, want_sum), (name, lead)
+                    assert same_bits(a, before)
+                    assert not np.shares_memory(got_max, a)
+                    assert not np.shares_memory(got_sum, a)
+
+    @pytest.mark.parametrize("K", PASS_CLASSES)
+    def test_signed_zero_rows_mixed_with_values(self, K):
+        # rows of 0.0 and -0.0 in every order beside rows with a nonzero max
+        rows = [[-0.0] * K, [0.0] * K, ([-0.0, 0.0] * K)[:K], ([0.0, -0.0] * K)[:K],
+                [-1.0] + [-0.0] * (K - 1), [0.0] * (K - 1) + [-2.0]]
+        a = np.array(rows * (CROSSOVER // len(rows) + 1))
+        assert same_bits(row_max(a), a.max(axis=-1))
+        assert same_bits(row_sum(a), a.sum(axis=-1))
+
+    @pytest.mark.parametrize("n", [9000, 10000])
+    @pytest.mark.parametrize("labels", LABELS)
+    def test_kernels_on_the_large_scale(self, n, labels):
+        m, X, soft = instance(n, n, 10, labels, d=20, scale=3.0)
+        Z = models.logits(m, X)
+        assert same_bits(softmax_rows(Z), softmax_rows_ref(Z))
+        assert same_bits(models.forward(m, X), forward_ref(m, X))
+        assert same_bits(models.ce_loss(m, X, soft), ce_loss_ref(m, X, soft))
