@@ -29,10 +29,12 @@ shape (n, d) or (S, n, d) give S results, each with the bits of its own 2-D
 call.
 
 ``newton_optimize`` runs damped Newton the same way: it steps an (S, P)
-stack of independent problems, one stacked ``grad``, ``hessian``,
-``solve_damped`` and ``ce_loss`` call per iteration for all problems still
-moving, and each problem freezes on its own once converged.  One problem is
-the S = 1 case.
+stack of independent problems, one stacked gradient, ``hessian`` and
+``solve_damped`` call per iteration for all problems still moving and one
+stacked ``forward`` and loss per backtracking try, and each problem freezes
+on its own once converged.  The gradient starts from the probabilities the
+accepted try computed, so an iterate goes through ``forward`` twice (its
+loss, its Hessian), not three times.  One problem is the S = 1 case.
 
 The kernels are called thousands of times on batches of a few dozen rows, so
 they reuse their own temporaries (``out=``, in-place updates) wherever that
@@ -248,10 +250,16 @@ def _checked_sums(model: Model, X: np.ndarray, soft: np.ndarray) -> tuple[np.nda
 
 def ce_loss(model: Model, X: np.ndarray, soft: np.ndarray) -> float | np.ndarray:
     """Mean of sum_j soft[j] * (-log p_j) over rows, plus l2/2 * ||theta||^2;
-    a float, or an array over the leading axes of a stacked call."""
+    a float, or an array over the leading axes of a stacked call.  The
+    input checks and ``forward``, over the loss body ``_ce_loss``."""
     X = np.asarray(X, dtype=np.float64)
     soft = _check_soft(model, X, soft)
-    p = forward(model, X)
+    return _ce_loss(model, forward(model, X), soft)
+
+
+def _ce_loss(model: Model, p: np.ndarray, soft: np.ndarray) -> float | np.ndarray:
+    """ce_loss from the probabilities ``p = forward(model, X)``, without the
+    input checks; overwrites ``p``."""
     if log.isEnabledFor(logging.DEBUG) and np.any((p <= 0) & (soft != 0)):
         log.debug("clamping zero probabilities in ce_loss")
     logp = np.maximum(p, _P_FLOOR, out=p)
@@ -259,7 +267,8 @@ def ce_loss(model: Model, X: np.ndarray, soft: np.ndarray) -> float | np.ndarray
     logp *= soft
     # the row mean as np.mean computes it (sum, then divide by the count),
     # without its per-call Python overhead
-    data = -(row_sum(logp).sum(axis=-1) / X.shape[-2]) if X.shape[-2] else np.zeros(p.shape[:-2])
+    n = p.shape[-2]
+    data = -(row_sum(logp).sum(axis=-1) / n) if n else np.zeros(p.shape[:-2])
     loss = data + 0.5 * model.l2 * row_dot(model.theta)
     return float(loss) if loss.ndim == 0 else loss
 
@@ -271,18 +280,19 @@ def grad(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
 
 
 def _grad(model: Model, X: np.ndarray, soft: np.ndarray, sums=None,
-          out: np.ndarray | None = None) -> np.ndarray:
+          out: np.ndarray | None = None, p: np.ndarray | None = None) -> np.ndarray:
     """grad without the input checks, for callers that made them once.
 
     ``sums`` are the soft labels' row sums, computed when None; one-hot
     labels pass the float 1.0, every row's exact sum, and skip the scaling,
     since p * 1.0 is p.  ``out``, when given, is the buffer a nonempty
-    batch's gradient is written into, of the result's shape."""
+    batch's gradient is written into, of the result's shape.  ``p``, when
+    given, is ``forward(model, X)`` already computed; it is overwritten."""
     n = X.shape[-2]
     if n == 0:
         lead = np.broadcast_shapes(model.theta.shape[:-1], X.shape[:-2], soft.shape[:-2])
         return np.broadcast_to(model.l2 * model.theta, lead + model.theta.shape[-1:]).copy()
-    dlogits = forward(model, X)
+    dlogits = forward(model, X) if p is None else p
     if sums is None:
         sums = row_sum(soft)
     if not isinstance(sums, float):
@@ -489,10 +499,18 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
     the bits of its solo run; NEWTON_MAX_ITER bounds each problem's steps.
     The errors of a stack of two or more name the first failing problem.  A
     2-D call is the S = 1 case.
+
+    Only the first loss is a checked ``ce_loss`` call, on the caller's
+    inputs.  Each backtracking try runs ``forward`` and ``_ce_loss``, and the
+    probabilities of the candidates it accepts are kept for the next
+    gradient (``_grad``'s ``p``); ``hessian`` computes its own.  X is taken
+    in C order, so any layout of X gives the bits of its C-ordered copy.
     """
     if model.kind != "logistic":
         raise UnsupportedModelError("newton_optimize requires the logistic model")
-    X = np.asarray(X, dtype=np.float64)
+    # C order: a stacked forward on X and one on the gathered rows X[todo]
+    # then give each problem the same bits, whatever the caller's layout
+    X = np.asarray(X, dtype=np.float64, order="C")
     soft = np.asarray(soft, dtype=np.float64)
     theta = model.theta.reshape(-1, model.theta.shape[-1]).copy()
     S = len(theta)
@@ -506,11 +524,14 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
     sums = row_sum(soft)
     # the problems still stepping; X, soft and sums keep only their rows
     live = np.arange(S)
+    # forward at theta[live] when backtracking has computed it, for the gradient
+    p = None
 
     def problem(s):  # names problem s in the errors of a stack of two or more
         return f" (problem {s})" if S > 1 else ""
     for it in range(NEWTON_MAX_ITER + 1):
-        g = _grad(model._with(theta[live]), X, soft, sums)
+        g = _grad(model._with(theta[live]), X, soft, sums, p=p)
+        p = None  # no (S, n, K) array stays alive across the Hessian
         g_norm = np.sqrt(row_dot(g))  # the bits of np.linalg.norm on each row
         done = g_norm <= NEWTON_TOL
         if done.all():
@@ -524,13 +545,20 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
                               f"iterations{problem(live[0])}")
         step = solve_damped(hessian(model._with(theta[live]), X, soft), g, NEWTON_DAMPING)
         # backtrack: ``todo`` indexes the live problems that have not yet found
-        # a step size lowering their loss, and all of them are at the same size t
+        # a step size lowering their loss, and all of them are at the same size t.
+        # Each try's probabilities go into p before the loss overwrites them,
+        # so p ends holding every accepted candidate's
         t = 1.0
         todo = np.arange(len(live))
+        p = np.empty(X.shape[:-1] + (model.K,))
         while True:
             rows = live[todo]
             cand = theta[rows] - t * step[todo]
-            f_cand = ce_loss(model._with(cand), X[todo], soft[todo])
+            m = model._with(cand)
+            every = len(todo) == len(live)  # as on the first try: no gather needed
+            p_cand = forward(m, X if every else X[todo])
+            p[todo] = p_cand
+            f_cand = _ce_loss(m, p_cand, soft if every else soft[todo])
             ok = f_cand <= f[rows]
             theta[rows[ok]], f[rows[ok]] = cand[ok], f_cand[ok]
             todo = todo[~ok]
@@ -540,3 +568,4 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
             if t <= 1e-8:
                 raise SolverError(f"newton_optimize: no descent step at gradient norm "
                                   f"{g_norm[todo[0]]:.3e}{problem(live[todo[0]])}")
+        del p_cand
