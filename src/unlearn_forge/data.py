@@ -157,26 +157,30 @@ def save_dataset(ds: LabeledDataset, path) -> None:
 
 
 def load_dataset(path, K: int | None = None) -> LabeledDataset:
-    """Inverse of save_dataset; K defaults to max(label) + 1."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        has_group = cols[-1] == "group"
-        d = len(cols) - (2 if has_group else 1)
-        # f0, ..., f{d-1}, label[, group] with at least one feature column
-        if d < 1 or cols[:d] != [f"f{i}" for i in range(d)] or cols[d] != "label":
-            raise DomainError(f"{path}: malformed dataset header: {header!r}")
-        start = fh.tell()
-        rows = _parse_rows(fh, d, has_group)
-        if rows is None:
-            fh.seek(start)
-            rows = _parse_rows_by_line(fh, d, has_group)
-    X, y, groups = rows
-    if K is None:
-        K = int(y.max()) + 1 if y.size else 2
-    if y.size and y.max() >= K:
-        raise DomainError(f"label {int(y.max())} >= K={K}")
-    return LabeledDataset(X, y, K, groups)
+    """Inverse of save_dataset; K defaults to max(label) + 1.  Every
+    DomainError names the file: ``<path>: line 3: ...``."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            cols = header.split(",")
+            has_group = cols[-1] == "group"
+            d = len(cols) - (2 if has_group else 1)
+            # f0, ..., f{d-1}, label[, group] with at least one feature column
+            if d < 1 or cols[:d] != [f"f{i}" for i in range(d)] or cols[d] != "label":
+                raise DomainError(f"malformed dataset header: {header!r}")
+            start = fh.tell()
+            rows = _parse_rows(fh, d, has_group)
+            if rows is None:
+                fh.seek(start)
+                rows = _parse_rows_by_line(fh, d, has_group)
+        X, y, groups = rows
+        if K is None:
+            K = int(y.max()) + 1 if y.size else 2
+        if y.size and y.max() >= K:
+            raise DomainError(f"label {int(y.max())} >= K={K}")
+        return LabeledDataset(X, y, K, groups)
+    except DomainError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _parse_rows(fh, d: int, has_group: bool):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, data, influence, metrics, models, unlearn
 from .config import file_named_by, validate
-from .errors import ConfigError, UnlearnForgeError
+from .errors import ConfigError, DomainError, UnlearnForgeError
 from .numcore import rng_stream
 from .smoothing import SmoothingPolicy
 
@@ -64,45 +64,31 @@ def build_datasets(cfg: dict) -> tuple[data.LabeledDataset, data.LabeledDataset]
 
 def build_split(cfg: dict, ds: data.LabeledDataset,
                 test: data.LabeledDataset) -> tuple[data.ForgetSplit, data.LabeledDataset]:
-    """The configured forget split and the test set to evaluate it on; a
-    split that leaves no retain row is a ConfigError, raised before any
-    training."""
-    split, eval_test = _configured_split(cfg, ds, test)
+    """The configured forget split and the test set to evaluate it on.  A
+    split the data cannot make (see ``data.split_*``) or one that leaves no
+    retain row is a ConfigError naming its key, raised before any training."""
+    paradigm = cfg["split.paradigm"]
+    key = {"classwise": "split.class", "random": "split.fraction",
+           "group": "split.groups"}.get(paradigm)
+    if key is None:
+        raise ConfigError(f"unknown paradigm {paradigm!r}")
+    try:
+        if paradigm == "classwise":
+            split, test = data.split_classwise(ds, cfg[key], test)
+        elif paradigm == "random":
+            split = data.split_random(ds, cfg[key], rng_stream(cfg["split.seed"], 12))
+        else:
+            split = data.split_group(ds, [int(g) for g in cfg[key].split(",") if g.strip() != ""])
+    except (DomainError, ValueError) as exc:  # a ValueError comes only from the int() parse
+        given = [f"data.k = {cfg['data.k']}"] if paradigm == "classwise" else []
+        given += [f"data.file {cfg['data.file']}"] if cfg["data.file"] else []
+        with_given = f" with {' and '.join(given)}" if given else ""
+        raise ConfigError(f"{key} = {cfg[key]}{with_given} cannot split the data: {exc}") from exc
     if split.retain_idx.size == 0:
         # a random split keeps rows of every class, since split.fraction < 1
-        paradigm = cfg["split.paradigm"]
-        key = "split.class" if paradigm == "classwise" else "split.groups"
         raise ConfigError(f"split.paradigm = {paradigm} with {key} = {cfg[key]} forgets all "
                           f"{ds.n} training rows and leaves no retain row")
-    return split, eval_test
-
-
-def _configured_split(cfg: dict, ds: data.LabeledDataset,
-                      test: data.LabeledDataset) -> tuple[data.ForgetSplit, data.LabeledDataset]:
-    paradigm = cfg["split.paradigm"]
-    if paradigm == "classwise":
-        if cfg["split.class"] >= cfg["data.k"]:
-            raise ConfigError(f"split.class = {cfg['split.class']} is not a class of "
-                              f"data.k = {cfg['data.k']} classes (0 to {cfg['data.k'] - 1})")
-        return data.split_classwise(ds, cfg["split.class"], test)
-    if paradigm == "random":
-        split = data.split_random(ds, cfg["split.fraction"], rng_stream(cfg["split.seed"], 12))
-        return split, test
-    if paradigm == "group":
-        try:
-            ids = [int(g) for g in cfg["split.groups"].split(",") if g.strip() != ""]
-        except ValueError as exc:
-            raise ConfigError(f"split.groups: {exc}") from exc
-        if not ids:
-            raise ConfigError("split.groups names no group for split.paradigm = group")
-        if ds.groups is None:
-            raise ConfigError(f"split.groups needs group ids, and data.file {cfg['data.file']} "
-                              f"has no group column")
-        unknown = sorted(set(ids) - set(ds.groups.tolist()))
-        if unknown:
-            raise ConfigError(f"split.groups names group ids {unknown} the data lacks")
-        return data.split_group(ds, ids), test
-    raise ConfigError(f"unknown paradigm {paradigm!r}")
+    return split, test
 
 
 def train_original(cfg: dict, ds: data.LabeledDataset) -> models.Model:
@@ -312,8 +298,9 @@ def theory_groups(cfg: dict):
     one group's is held at a time.  An instance counts 2 n K (d+1) entries,
     its slice of the stacked Hessian's B and S * B arrays; probabilities and
     stacked copies come on top: at 30 instances of ``_THEORY_SHAPE`` a group's
-    tracemalloc peak is 968 KiB in its stacked Newton and 1,058 KiB in its
-    stacked theorem check, about twice the 512 KiB budget."""
+    tracemalloc peak above the call's start reads up to 958 KiB in a stacked
+    Newton and 1,058 KiB in its stacked theorem check (``theory.instances =
+    100``, seeds 0 and 7), about twice the 512 KiB budget."""
     K, per_class, d = _THEORY_SHAPE
     for group in _groups(range(cfg["theory.instances"]), 2 * K * per_class * K * (d + 1)):
         yield [(i, theory_data(cfg, i)) for i in group]

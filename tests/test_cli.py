@@ -381,6 +381,14 @@ class TestConfigErrors:
         assert cli.main(["train", "--config", cfgp, "--out", str(tmp_path / "m.model")]) == 3
         assert "label 2 >= K=2" in capsys.readouterr().err
 
+    def test_file_bad_row_exit_3_naming_the_file(self, tmp_path, capsys):
+        csv = tmp_path / "bad-row.csv"
+        csv.write_text("f0,label\n0.5,1\n0.25\n")
+        cfgp = write_cfg(tmp_path, f"data.file = {csv}\ndata.k = 2\n")
+        assert cli.main(["unlearn", "--config", cfgp, "--seed", "0", "--method", "ga"]) == 3
+        assert capsys.readouterr().err == (f"error: domain: {csv}: line 3: expected 2 fields, "
+                                           "got 1\n")
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("command", ["unlearn", "benchmark"])
@@ -760,6 +768,33 @@ class TestNoRetainRow:
         assert capsys.readouterr().err == (f"error: config: split.paradigm = {split} with {named} "
                                            f"forgets all {n} training rows and leaves no retain "
                                            "row\n")
+
+
+class TestSplitTheDataCannotMake:
+    """A forget split the data cannot make is exit 2 with one config line
+    naming its key, and data.file when one is set, before the original model
+    is trained."""
+    @pytest.mark.parametrize("command", ["unlearn --seed 0 --method ga", "benchmark"])
+    @pytest.mark.parametrize("case", ["class-absent", "no-forget-row"])
+    def test_exit_2_before_training(self, tmp_path, capsys, monkeypatch, command, case):
+        def fail(*_):
+            raise AssertionError("trained before the split was checked")
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "train_original", fail)
+        if case == "class-absent":
+            csv = tmp_path / "no-class-2.csv"
+            ds = data.gen_blobs(3, 10, 5, 1.0, 1, np.random.default_rng(0))
+            keep = ds.y != 2
+            data.save_dataset(data.LabeledDataset(ds.X[keep], ds.y[keep], 3), csv)
+            extra = f"data.file = {csv}\nsplit.class = 2\n"
+            line = (f"split.class = 2 with data.k = 3 and data.file {csv} cannot split the data: "
+                    "class 2 absent from the dataset")
+        else:
+            extra = "split.paradigm = random\nsplit.fraction = 0.04\n"
+            line = ("split.fraction = 0.04 cannot split the data: fraction 0.04 gives no forget "
+                    "rows for class 0")
+        assert cli.main(command.split() + ["--config", write_cfg(tmp_path, extra)]) == 2
+        assert capsys.readouterr().err == f"error: config: {line}\n"
 
 
 class TestConfigChecksBeforeWork:

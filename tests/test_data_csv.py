@@ -7,6 +7,8 @@ bit, labels mean what ``int()`` makes of them, and a damaged file is a typed
 error.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,13 +91,14 @@ class TestLabelStrings:
             data.load_dataset(path)
         with pytest.raises(ValueError) as expected:
             int(label)
-        assert str(err.value) == f"line 3: {expected.value}"
+        assert str(err.value) == f"{path}: line 3: {expected.value}"
 
     @pytest.mark.parametrize("value", ["12345678901234567890", "-9223372036854775809"])
     def test_id_outside_int64_is_a_typed_error(self, tmp_path, value):
         for text in (f"f0,label\n0.5,{value}\n", f"f0,label,group\n0.5,1,0\n0.5,0,{value}\n"):
             path = write(tmp_path, text)
-            with pytest.raises(DomainError, match=r"^line \d: label or group id outside"):
+            with pytest.raises(DomainError, match=rf"^{re.escape(str(path))}: line \d: label or "
+                                                  "group id outside"):
                 data.load_dataset(path)
 
     def test_int64_bounds_load(self, tmp_path):
@@ -113,7 +116,8 @@ class TestFeatureStrings:
     @pytest.mark.parametrize("value", ["1e400", "-Infinity", "NaN"])
     def test_non_finite_names_the_line(self, tmp_path, value):
         path = write(tmp_path, f"f0,label\n0.5,1\n{value},0\n")
-        with pytest.raises(DomainError, match="^line 3: non-finite feature value$"):
+        with pytest.raises(DomainError, match=rf"^{re.escape(str(path))}: line 3: non-finite "
+                                              "feature value$"):
             data.load_dataset(path)
 
     @pytest.mark.parametrize("text, message", [
@@ -121,9 +125,10 @@ class TestFeatureStrings:
         ("f0,label\n#0.5,1\n", "line 2: could not convert string to float: '#0.5'"),
         ("f0,label\n0.5;1\n", "line 2: expected 2 fields, got 1")])
     def test_rejected_rows_keep_their_message(self, tmp_path, text, message):
+        path = write(tmp_path, text)
         with pytest.raises(DomainError) as err:
-            data.load_dataset(write(tmp_path, text))
-        assert str(err.value) == message
+            data.load_dataset(path)
+        assert str(err.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("text", ["f0,label\n", "f0,label\n\n\n", "f0,label\r\n0.5,1\r\n\r\n"])
     def test_blank_lines_and_crlf(self, tmp_path, text):
