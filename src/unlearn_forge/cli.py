@@ -53,8 +53,6 @@ def benchmark_table(report: dict) -> str:
 
     def cell(pair):
         mean, std = pair
-        if mean is None:
-            return "-"
         return f"{mean:.2f}" if std is None else f"{mean:.2f}±{std:.2f}"
 
     for m in report["methods"]:

@@ -7,6 +7,7 @@ optional per-row integer group ids (class ``c`` subgroup ``s`` gets id
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -158,7 +159,8 @@ def save_dataset(ds: LabeledDataset, path) -> None:
 
 def load_dataset(path, K: int | None = None) -> LabeledDataset:
     """Inverse of save_dataset; K defaults to max(label) + 1.  Every
-    DomainError names the file: ``<path>: line 3: ...``."""
+    DomainError names the file and a bad row's line: ``<path>: line 3:
+    label -1 < 0``."""
     try:
         with open(path) as fh:
             header = fh.readline().strip()
@@ -169,24 +171,22 @@ def load_dataset(path, K: int | None = None) -> LabeledDataset:
             if d < 1 or cols[:d] != [f"f{i}" for i in range(d)] or cols[d] != "label":
                 raise DomainError(f"malformed dataset header: {header!r}")
             start = fh.tell()
-            rows = _parse_rows(fh, d, has_group)
+            rows = _parse_rows(fh, d, has_group, K)
             if rows is None:
                 fh.seek(start)
-                rows = _parse_rows_by_line(fh, d, has_group)
+                rows = _parse_rows_by_line(fh, d, has_group, K)
         X, y, groups = rows
         if K is None:
             K = int(y.max()) + 1 if y.size else 2
-        if y.size and y.max() >= K:
-            raise DomainError(f"label {int(y.max())} >= K={K}")
         return LabeledDataset(X, y, K, groups)
     except DomainError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _parse_rows(fh, d: int, has_group: bool):
+def _parse_rows(fh, d: int, has_group: bool, K: int | None):
     """The rows after the header through numpy's C parser, as (X, y, groups);
-    None when it rejects a row or a feature is not finite, for
-    ``_parse_rows_by_line`` to name the line."""
+    None when it rejects a row, a feature is not finite or a label is outside
+    [0, K), for ``_parse_rows_by_line`` to name the line."""
     fields = [("x", "f8", (d,)), ("y", "i8")] + ([("g", "i8")] if has_group else [])
     try:
         with warnings.catch_warnings():
@@ -195,21 +195,20 @@ def _parse_rows(fh, d: int, has_group: bool):
     except ValueError:
         return None
     X = np.ascontiguousarray(rows["x"]).reshape(rows.size, d)
-    if not np.isfinite(X).all():
+    y = rows["y"]
+    if not np.isfinite(X).all() or y.size and (y.min() < 0 or K is not None and y.max() >= K):
         return None
-    return X, rows["y"].copy(), rows["g"].copy() if has_group else None
+    return X, y.copy(), rows["g"].copy() if has_group else None
 
 
-def _parse_rows_by_line(fh, d: int, has_group: bool):
-    """``_parse_rows`` one line at a time, naming the line of the first bad
-    row."""
+def _parse_rows_by_line(fh, d: int, has_group: bool, K: int | None):
+    """``_parse_rows`` one line at a time, naming the first bad line."""
     n_ids = 2 if has_group else 1
-    X_rows, id_rows, linenos = [], [], []
+    X_rows, id_rows = [], []
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
         if not line:
             continue
-        linenos.append(lineno)
         parts = line.split(",")
         if len(parts) != d + n_ids:
             raise DomainError(f"line {lineno}: expected {d + n_ids} fields, got {len(parts)}")
@@ -220,9 +219,13 @@ def _parse_rows_by_line(fh, d: int, has_group: bool):
             raise DomainError(f"line {lineno}: {exc}") from exc
         if not all(_INT64_MIN <= v <= _INT64_MAX for v in id_rows[-1]):
             raise DomainError(f"line {lineno}: label or group id outside the int64 range")
+        if not all(map(math.isfinite, X_rows[-1])):
+            raise DomainError(f"line {lineno}: non-finite feature value")
+        label = id_rows[-1][0]
+        if label < 0:
+            raise DomainError(f"line {lineno}: label {label} < 0")
+        if K is not None and label >= K:
+            raise DomainError(f"line {lineno}: label {label} >= K={K}")
     X = np.array(X_rows, dtype=np.float64).reshape(len(X_rows), d)
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise DomainError(f"line {linenos[int(np.argmin(finite))]}: non-finite feature value")
     ids = np.array(id_rows, dtype=np.int64).reshape(len(id_rows), n_ids)
     return X, ids[:, 0].copy(), ids[:, 1].copy() if has_group else None

@@ -22,8 +22,8 @@ class DimensionError(DomainError):
 
 
 class ModelFileError(ConfigError, DomainError):
-    """A model file whose header describes no model: an input file to fix, so
-    a config error (exit 2), carrying the DomainError of the description."""
+    """A model file that describes no valid ``Model``: an input file to fix, so
+    a config error (exit 2), carrying the DomainError of building the Model."""
 
 
 class SolverError(UnlearnForgeError):

@@ -1,13 +1,14 @@
 """Text serialization of models: versioned header, dims, then one parameter
 per line at 17 significant digits (exact float64 round-trip).  Every line,
-the last included, ends in a newline, so a file cut short is detectable."""
+the last included, ends in a newline, so a file cut short is detectable.
+``load_model`` checks the format; the description's rules are ``Model``'s."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ModelFileError
-from .models import Model, n_params
+from .models import Model
 
 MAGIC = "unlearn-forge-model v1"
 
@@ -47,19 +48,14 @@ def load_model(path) -> Model:
         theta = np.array([float(v) for v in lines[7:7 + count]], dtype=np.float64)
     except (KeyError, ValueError, IndexError) as exc:
         raise ConfigError(f"malformed model file {path}: {exc}") from exc
-    try:
-        expected = n_params(kind, d, K, hidden)
-    except DomainError as exc:
-        raise ModelFileError(f"model file {path}: {exc}") from exc
-    if theta.size != count or count != expected:
-        raise ConfigError(f"model file {path}: parameter count mismatch")
+    if theta.size != count:
+        raise ConfigError(f"model file {path}: theta {count}, but {theta.size} parameter lines")
     if len(lines) > 7 + count:
         raise ConfigError(f"model file {path}: a line after the theta {count} parameters")
-    if not np.isfinite(l2):
-        raise ConfigError(f"model file {path}: l2 is {l2}, not finite")
-    if l2 < 0:
-        raise ConfigError(f"model file {path}: l2 is {l2}, negative")
     if not np.isfinite(theta).all():
         i = int(np.argmin(np.isfinite(theta)))
         raise ConfigError(f"model file {path}: parameter {i} is {theta[i]}, not finite")
-    return Model(kind=kind, theta=theta, d=d, K=K, l2=l2, hidden=hidden)
+    try:
+        return Model(kind=kind, theta=theta, d=d, K=K, l2=l2, hidden=hidden)
+    except DomainError as exc:
+        raise ModelFileError(f"model file {path}: {exc}") from exc

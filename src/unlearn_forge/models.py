@@ -81,7 +81,7 @@ class Model:
     def __post_init__(self):
         expected = n_params(self.kind, self.d, self.K, self.hidden)
         if not 0 <= self.l2 < np.inf:  # false for nan too
-            raise DomainError(f"l2 is {self.l2}, not a finite value >= 0")
+            raise DomainError(f"l2 is {self.l2}: negative or not finite")
         if self.theta.shape != (expected,):
             raise DimensionError(f"theta has shape {self.theta.shape}, expected ({expected},)")
 

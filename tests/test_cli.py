@@ -837,13 +837,14 @@ class TestConfigChecksBeforeWork:
         assert "unknown paradigm 'foo'" in capsys.readouterr().err
 
 
-# (kind, d, K, hidden, theta count) of model files whose header describes no
-# model, each count the one its formula would give, and the reason named
+# (kind, d, K, hidden, theta count) of model files that describe no model,
+# with as many parameter lines as the count, and the reason named
 NO_MODEL_HEADERS = [("foo", 5, 3, 2, 21, "unknown model kind 'foo'"),
                     ("mlp", 5, 3, 0, 3, "an mlp needs hidden >= 1, got 0"),
                     ("logistic", 5, 1, 0, 6, "need at least 2 classes"),
                     ("logistic", 0, 3, 0, 3, "need at least 1 feature, got d = 0"),
-                    ("logistic", -1, 3, 0, 0, "need at least 1 feature, got d = -1")]
+                    ("logistic", -1, 3, 0, 0, "need at least 1 feature, got d = -1"),
+                    ("logistic", 2, 2, 0, 5, "theta has shape (5,), expected (6,)")]
 
 
 class TestModelFileDescribesNoModel:
@@ -869,6 +870,12 @@ class TestModelFileDescribesNoModel:
         argv = ["unlearn", "--config", write_cfg(tmp_path), "--seed", "0", "--model", str(p)]
         assert cli.main(argv + ["--method", "ga"]) == 2
         assert capsys.readouterr().err == f"error: config: model file {p}: {reason}\n"
+
+    def test_format_fault_named_first(self, tmp_path):
+        p = self.model_file(tmp_path, "foo", 5, 3, 2, 21)
+        p.write_text(p.read_text() + "0\n")
+        with pytest.raises(ConfigError, match=re.escape(f"model file {p}: a line after the theta 21")):
+            load_model(p)
 
 
 class TestFeaturelessDataFile:

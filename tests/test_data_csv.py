@@ -123,12 +123,21 @@ class TestFeatureStrings:
     @pytest.mark.parametrize("text, message", [
         ("f0,label\n0.5,1,\n", "line 2: expected 2 fields, got 3"),
         ("f0,label\n#0.5,1\n", "line 2: could not convert string to float: '#0.5'"),
-        ("f0,label\n0.5;1\n", "line 2: expected 2 fields, got 1")])
+        ("f0,label\n0.5;1\n", "line 2: expected 2 fields, got 1"),
+        ("f0,label\n0.5,1\n0.25,-1\n", "line 3: label -1 < 0"),
+        ("f0,label\nnan,1\n0.5,x\n", "line 2: non-finite feature value"),
+        ("f0,label\n0.5,-1\n1e400,0\n", "line 2: label -1 < 0")])
     def test_rejected_rows_keep_their_message(self, tmp_path, text, message):
         path = write(tmp_path, text)
         with pytest.raises(DomainError) as err:
             data.load_dataset(path)
         assert str(err.value) == f"{path}: {message}"
+
+    def test_label_past_k_names_the_line(self, tmp_path):
+        path = write(tmp_path, "f0,label\n0.5,1\n\n0.25,3\n")
+        with pytest.raises(DomainError) as err:
+            data.load_dataset(path, 3)
+        assert str(err.value) == f"{path}: line 4: label 3 >= K=3"
 
     @pytest.mark.parametrize("text", ["f0,label\n", "f0,label\n\n\n", "f0,label\r\n0.5,1\r\n\r\n"])
     def test_blank_lines_and_crlf(self, tmp_path, text):
