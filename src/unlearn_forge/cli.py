@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -211,7 +212,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command, built once per process: each
+    parse returns a fresh namespace, and nothing writes to the parser."""
     parser = argparse.ArgumentParser(prog="unlearn-forge",
                                      description="Machine unlearning toolkit with smoothed-label "
                                                  "gradient methods, theory verifiers, and metrics")

@@ -13,11 +13,13 @@ consecutive instances finds all its θ_tr with one stacked ``newton_optimize``
 run and all its θ_r with another (see ``models``), then makes all its reports
 with one stacked ``check_theorem2`` call (see ``influence``); each instance
 keeps the bits of its own solo run.  A failing group of either kind reruns
-its members one at a time, so it raises what its first failing member does.
+its members one at a time, so it raises what its first failing member does;
+the fallback logs one DEBUG record on the ``unlearn_forge`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 
@@ -29,16 +31,21 @@ from .errors import ConfigError, DomainError, UnlearnForgeError
 from .numcore import rng_stream
 from .smoothing import SmoothingPolicy
 
+log = logging.getLogger("unlearn_forge")
+
 # MetricsReport fields of a benchmark cell, each averaged in its summary
 CELL_FIELDS = ("ua", "mia", "ra", "ta", "sum", "additional_mia")
 # Float64 entries per lockstep group of seeds, counted as rows x (d + K) of
 # the training set per seed: the stacked per-epoch arrays of a method take
 # about that much per seed.  2**16 entries are 512 KiB; the default config
 # (300 rows, d + K = 8) fits 27 seeds per group, K = 10, 1000 rows per class
-# and d = 20 fit one.  The theory verifier's groups of instances take the
-# same budget, counted another way (see ``theory_groups``).  Neither count
-# bounds a group's memory: it sizes the groups.
+# and d = 20 fit one.  The count sizes the groups; it does not bound a
+# group's memory.
 GROUP_ENTRIES = 2 ** 16
+# Float64 entries per lockstep group of verify-theory instances, counted
+# another way (see ``theory_groups``): 2**18 entries (2 MiB) fit 121
+# instances of ``_THEORY_SHAPE``, so up to 121 instances run as one group
+THEORY_GROUP_ENTRIES = 2 ** 18
 # (classes, rows per class, features) of every verify-theory instance
 _THEORY_SHAPE = (3, 30, 3)
 # TheoryReport fields of one verify-theory row
@@ -126,26 +133,29 @@ def check_method(name: str, source: str, kind: str, kind_source: str) -> str:
     return name
 
 
-def _groups(items, entries_per_item: int) -> list:
-    """``items`` in order, cut into lockstep groups of at most
-    ``GROUP_ENTRIES`` stacked entries each (and at least one item)."""
-    size = max(1, GROUP_ENTRIES // entries_per_item)
+def _groups(items, entries_per_item: int, budget: int) -> list:
+    """``items`` in order, cut into lockstep groups of at most ``budget``
+    stacked entries each (and at least one item)."""
+    size = max(1, budget // entries_per_item)
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 def seed_groups(ds: data.LabeledDataset, seeds: list[int]) -> list[list[int]]:
     """``_groups`` of ``seeds``, each counting rows x (d + K) training entries."""
-    return _groups(seeds, ds.n * (ds.d + ds.K))
+    return _groups(seeds, ds.n * (ds.d + ds.K), GROUP_ENTRIES)
 
 
 def _each_alone_on_failure(run, items: list) -> list:
     """``run(items)``, one output per item; if that raises, each item reruns
-    alone, so the error is the one the first failing item raises alone."""
+    alone, so the error is the one the first failing item raises alone.  The
+    fallback logs one DEBUG record naming the group's size and its error."""
     try:
         return run(items)
-    except UnlearnForgeError:
+    except UnlearnForgeError as exc:
         if len(items) == 1:
             raise
+        log.debug("lockstep group of %d failed, rerunning each alone: %s: %s",
+                  len(items), type(exc).__name__, exc)
         return [out for item in items for out in run([item])]
 
 
@@ -295,14 +305,17 @@ def theory_data(cfg: dict, index: int):
 def theory_groups(cfg: dict):
     """Every instance's ``theory_data`` in index order, cut by ``_groups``
     into lists of (index, data) pairs; data is built as groups are taken, so
-    one group's is held at a time.  An instance counts 2 n K (d+1) entries,
-    its slice of the stacked Hessian's B and S * B arrays; probabilities and
-    stacked copies come on top: at 30 instances of ``_THEORY_SHAPE`` a group's
-    tracemalloc peak above the call's start reads up to 958 KiB in a stacked
-    Newton and 1,058 KiB in its stacked theorem check (``theory.instances =
-    100``, seeds 0 and 7), about twice the 512 KiB budget."""
+    one group's is held at a time.  An instance counts 2 n K (d+1) entries
+    against ``THEORY_GROUP_ENTRIES``, what its B and S * B arrays would take
+    in a stacked Hessian built whole; ``models.hessian`` builds them in
+    chunks over the stack, so they do not grow with the group.  Its
+    probabilities and stacked products do: ``theory.instances = 100`` makes
+    one group, whose tracemalloc peak above the call's start reads up to
+    1,311 KiB in a stacked Newton and 1,630 KiB in its stacked theorem
+    check (seeds 0 and 7)."""
     K, per_class, d = _THEORY_SHAPE
-    for group in _groups(range(cfg["theory.instances"]), 2 * K * per_class * K * (d + 1)):
+    for group in _groups(range(cfg["theory.instances"]), 2 * K * per_class * K * (d + 1),
+                         THEORY_GROUP_ENTRIES):
         yield [(i, theory_data(cfg, i)) for i in group]
 
 

@@ -333,12 +333,18 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     ``B = p (x) x~``, n x K(d+1), so both come from products with ``S * B``.
     B is built ``HESSIAN_CHUNK_ROWS`` rows at a time to bound peak RSS: whole,
     B and its scaled copy take 2 n K (d+1) floats (30 MB at n = 9,000, K = 10,
-    d = 20); in chunks they take 3.4 MB whatever n is.
+    d = 20); in chunks they take 3.4 MB whatever n is.  The rows ``x~`` are
+    augmented chunk by chunk too, and every chunk reuses the same buffers.
 
     Stacked, theta of shape (S, P), X of shape (S, n, d) and soft labels of
     shape (S, n, K) give a C-ordered (S, P, P) array, each slice the bits of
-    its 2-D call; the chunks stay ``HESSIAN_CHUNK_ROWS`` rows along n, so B
-    and its scaled copy take 2 S n K (d+1) floats up to that bound.
+    its 2-D call.  The chunks count rows over the whole stack: with fewer
+    than ``HESSIAN_CHUNK_ROWS`` rows per instance a chunk holds as many whole
+    instances as fit, and with more it holds the next ``HESSIAN_CHUNK_ROWS``
+    rows of one instance.  So each slice takes its own row chunks in the
+    order of its 2-D call, and B, its scaled copy and the augmented rows stay
+    within the same bound at any S.  An X or soft labels without the stack's
+    leading axes are shared by every instance, not broadcast into copies.
     """
     if model.kind != "logistic":
         raise UnsupportedModelError("exact Hessian is only available for the logistic model")
@@ -352,19 +358,38 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     p = forward(model, X)
     lead = p.shape[:-2]
     m = d + 1
-    Xt = np.empty(X.shape[:-1] + (m,))
-    Xt[..., :d] = X
-    Xt[..., d] = 1.0
-    gram = np.zeros(lead + (K * m, K * m))
-    blocks = np.zeros(lead + (K * m, m))
-    for lo in range(0, n, HESSIAN_CHUNK_ROWS):
-        rows = slice(lo, lo + HESSIAN_CHUNK_ROWS)
-        B = p[..., rows, :, None] * Xt[..., rows, None, :]
-        B = B.reshape(B.shape[:-2] + (K * m,))
-        SB = S[..., rows, None] * B
-        SB_T = SB.swapaxes(-1, -2)
-        gram += SB_T @ B
-        blocks += SB_T @ Xt[..., rows, :]
+    # the stack's instances along one axis; rows without the stack's leading
+    # axes become a zero-stride view, shared by every instance, not a copy
+    p = p.reshape((-1, n, K))
+    X = np.broadcast_to(X, lead + (n, d)).reshape((-1, n, d))
+    S = np.broadcast_to(S, lead + (n,)).reshape((-1, n))
+    gram = np.zeros((len(p), K * m, K * m))
+    blocks = np.zeros((len(p), K * m, m))
+    step = min(n, HESSIAN_CHUNK_ROWS)  # rows of one instance per chunk
+    per = max(1, HESSIAN_CHUNK_ROWS // n)  # instances per chunk
+    # every chunk writes its augmented rows, B and S * B into the same three
+    # buffers: arrays made afresh per chunk go back to the OS when freed and
+    # fault in again on the next, about a fifth of the time of the n = 10,000,
+    # K = 10, d = 20 Hessian
+    cap = min(per, len(p)) * step
+    bufs = [np.empty(cap * width) for width in (m, K * m, K * m)]
+    for first in range(0, len(p), per):
+        inst = slice(first, first + per)
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            Xc = X[inst, rows]
+            c = Xc.shape[:-1]  # (instances, rows) of this chunk
+            size = c[0] * c[1]
+            Xt = bufs[0][:size * m].reshape(c + (m,))
+            Xt[..., :d] = Xc
+            Xt[..., d] = 1.0
+            B = bufs[1][:size * K * m].reshape(c + (K * m,))
+            np.multiply(p[inst, rows, :, None], Xt[..., None, :], out=B.reshape(c + (K, m)))
+            SB = np.multiply(S[inst, rows, None], B, out=bufs[2][:size * K * m].reshape(B.shape))
+            SB_T = SB.swapaxes(-1, -2)
+            gram[inst] += SB_T @ B
+            blocks[inst] += SB_T @ Xt
+    del p  # before the reorder's stacked copies
     (rows, cols), (perm_rows, perm_cols) = _hessian_index(K, d)
     H_aug = np.negative(gram, out=gram)
     H_aug[..., rows, cols] += blocks
@@ -372,7 +397,7 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     # advanced indexing lays a stack out with the stack axis innermost; in C
     # order each slice is laid out as its 2-D call's result, so a BLAS
     # product on a slice (``H[s] @ v``) rounds as it does on that result
-    H = np.ascontiguousarray(H_aug[..., perm_rows, perm_cols])
+    H = np.ascontiguousarray(H_aug[..., perm_rows, perm_cols]).reshape(lead + (P, P))
     H += H.swapaxes(-1, -2)
     H *= 0.5
     H += model.l2 * np.eye(P)

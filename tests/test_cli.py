@@ -283,6 +283,18 @@ class TestSubcommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["epsilon"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_each_call_in_a_process_prints_its_own_result(self, capsys):
+        """The parser is built once per process; every call parses its own flags."""
+        eps = []
+        for alpha in ("-1", "-0.5"):
+            assert cli.main(["ldp", "--k", "10", "--alpha", alpha, "--gamma1", "2", "--gamma2", "1",
+                             "--format", "machine"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["alpha"] == float(alpha)
+            eps.append(doc["epsilon"])
+        assert eps[0] != eps[1]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_exit_codes(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nope = 1\n")

@@ -7,13 +7,15 @@ for bit.
 
 import dataclasses
 import json
+import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_blobs
-from oracles import theory_report_ref
+from oracles import hessian_ref, theory_report_ref
 from unlearn_forge import cli, experiment, influence, models, numcore, smoothing
 from unlearn_forge.config import default_config
 from unlearn_forge.errors import DimensionError, DomainError, SolverError
@@ -161,6 +163,76 @@ class TestLockstepNewton:
                                    X[0], soft[0])
 
 
+class TestHessianChunksOverTheStack:
+    """``models.hessian`` counts its chunk rows over the whole stack; each
+    slice keeps its own row chunks, in order, and so its 2-D call's bits,
+    which are the oracle's."""
+
+    @staticmethod
+    def inputs(S, n, d, K, labels, seed=0):
+        rng = np.random.default_rng(seed)
+        thetas = rng.standard_normal((S, K * d + K))
+        X = rng.standard_normal((S, n, d))
+        soft = onehot(rng.integers(K, size=(S, n)), K)
+        if labels == "sums_off_one":  # within the row-sum tolerance, and all-zero rows
+            soft = soft * 1.5 - 0.5 / K
+            soft *= 1.0 + rng.uniform(-9e-6, 9e-6, (S, n, 1))
+            soft[:, ::7] = 0.0
+        return models.init_model("logistic", d, K), thetas, X, soft
+
+    # (25, 90): chunks of 11, 11 and 3 whole instances; (2, 1025): two row
+    # chunks per instance; (2, 2100): three, whose sum shows their order;
+    # (12, 85): 12 instances of 85 rows fill one chunk
+    @pytest.mark.parametrize("S, n", [(25, 90), (2, 1025), (2, 2100), (12, 85)])
+    @pytest.mark.parametrize("labels", ["onehot", "sums_off_one"])
+    def test_each_slice_is_its_2d_call(self, S, n, labels):
+        m, thetas, X, soft = self.inputs(S, n, 3, 3, labels)
+        H = models.hessian(m.with_stack(thetas), X, soft)
+        assert H.shape == (S, m.theta.size, m.theta.size) and H.flags.c_contiguous
+        for s in range(S):
+            alone = models.hessian(m.with_theta(thetas[s]), X[s], soft[s])
+            assert same_bits(H[s], alone)
+            assert same_bits(alone, hessian_ref(m.with_theta(thetas[s]), X[s], soft[s]))
+
+    @pytest.mark.parametrize("S, n", [(25, 90), (2, 1025)])
+    @pytest.mark.parametrize("labels", ["onehot", "sums_off_one"])
+    def test_2d_rows_against_a_stack_of_thetas(self, S, n, labels):
+        m, thetas, X, soft = self.inputs(S, n, 3, 3, labels)
+        H = models.hessian(m.with_stack(thetas), X[0], soft[0])
+        for s in range(S):
+            assert same_bits(H[s], models.hessian(m.with_theta(thetas[s]), X[0], soft[0]))
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_a_100_instance_stack_peaks_below_its_whole_b_arrays(self):
+        """At verify-theory's shape, B and S * B built whole for 100 instances
+        take 2 S n K (d+1) floats; the chunked call's whole peak stays below."""
+        S, n, d, K = 100, 90, 3, 3
+        m, thetas, X, soft = self.inputs(S, n, d, K, "onehot")
+        peak = self.traced_peak(lambda: models.hessian(m.with_stack(thetas), X, soft))
+        assert peak < 2 * S * n * K * (d + 1) * 8
+
+    def test_2d_rows_are_not_copied_per_instance(self):
+        """2-D rows against a stack of thetas are shared by every instance:
+        the call's peak grows with the stack by each instance's probabilities
+        and products, not by a copy of its n x d rows."""
+        S, n, d, K = 10, 2000, 40, 2
+        m, thetas, X, soft = self.inputs(S, n, d, K, "onehot")
+
+        def peak(stack):
+            return self.traced_peak(
+                lambda: models.hessian(m.with_stack(thetas[:stack]), X[0], soft[0]))
+        assert peak(S) - peak(1) < (S - 1) * n * d * 8 // 2
+
+
 class TestVerifyTheoryGroups:
     def test_default_machine_report_is_the_golden_file(self, capsys):
         assert cli.main(["verify-theory", "--format", "machine"]) == 0
@@ -186,14 +258,16 @@ class TestVerifyTheoryGroups:
             assert float(dist[0]).hex() == rep.dist_gls_at_best_alpha.hex()
 
     def test_groups_fill_the_budget(self):
-        cfg = {**default_config(), "theory.instances": 100}
+        cfg = default_config()
         ds = experiment.theory_data(cfg, 0)[0]
-        assert experiment.GROUP_ENTRIES // (2 * ds.n * ds.K * (ds.d + 1)) == 30
-        groups = [[i for i, _ in group] for group in experiment.theory_groups(cfg)]
-        assert [len(g) for g in groups] == [30, 30, 30, 10]
-        assert sum(groups, []) == list(range(100))
+        assert experiment.THEORY_GROUP_ENTRIES // (2 * ds.n * ds.K * (ds.d + 1)) == 121
+        for instances, sizes in [(100, [100]), (300, [121, 121, 58])]:
+            cfg = {**cfg, "theory.instances": instances}
+            groups = [[i for i, _ in group] for group in experiment.theory_groups(cfg)]
+            assert [len(g) for g in groups] == sizes
+            assert sum(groups, []) == list(range(instances))
 
-    def test_a_failing_group_raises_the_serial_error(self, monkeypatch):
+    def test_a_failing_group_raises_the_serial_error(self, monkeypatch, caplog):
         cfg = {**default_config(), "theory.instances": 20}
         calls = count_newton_iterations(monkeypatch)
         needed = []  # Newton iterations of each instance's slower problem
@@ -211,10 +285,18 @@ class TestVerifyTheoryGroups:
         with pytest.raises(SolverError) as serial:
             for i in range(20):
                 experiment.theory_instance(cfg, i, grid(cfg))
-        with pytest.raises(SolverError) as grouped:
-            experiment.run_verify_theory(cfg)
+        with caplog.at_level(logging.DEBUG, logger="unlearn_forge"):
+            with pytest.raises(SolverError) as grouped:
+                experiment.run_verify_theory(cfg)
         assert str(grouped.value) == str(serial.value)
         assert "problem" not in str(grouped.value)
+        # the group's fallback is logged once; its members' solo runs log nothing
+        fallback = [r for r in caplog.records if r.name == "unlearn_forge"]
+        assert [r.levelno for r in fallback] == [logging.DEBUG]
+        assert fallback[0].getMessage().startswith(
+            "lockstep group of 20 failed, rerunning each alone: SolverError: newton_optimize: "
+            "gradient norm ")
+        assert " (problem " in fallback[0].getMessage()
 
     def test_a_failing_group_builds_each_instances_data_once(self, monkeypatch):
         cfg = {**default_config(), "theory.instances": 35}
@@ -231,6 +313,8 @@ class TestVerifyTheoryGroups:
             return theory_instances(cfg, problems, grid)
         monkeypatch.setattr(experiment, "theory_data", counted)
         monkeypatch.setattr(experiment, "theory_instances", solo_only)
+        # groups of 30 and 5, so both failing groups' data is built as taken
+        monkeypatch.setattr(experiment, "THEORY_GROUP_ENTRIES", experiment.THEORY_GROUP_ENTRIES // 4)
         report = experiment.run_verify_theory(cfg)
         assert built == list(range(35))
         monkeypatch.undo()
