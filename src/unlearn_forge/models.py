@@ -517,6 +517,16 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
     (H + NEWTON_DAMPING I) step = g and backtrack; raises SolverError when no
     step size lowers the loss or NEWTON_MAX_ITER steps end above NEWTON_TOL.
 
+    Backtracking gives up at a step size of 1e-8.  A problem whose Newton
+    decrement there is 0 <= g.step <= c eps |f|, with c = 4, f its loss and
+    eps float64's machine epsilon, has converged as far as its loss can show
+    and freezes, logging one DEBUG record: a full step would lower f by about
+    g.step / 2, at most 2 eps |f|, a few units in the last place of f and
+    within the rounding of a mean of rounded row losses, so ``f_cand <= f``
+    cannot resolve it.  The two such stalls measured, just above NEWTON_TOL,
+    read g.step at 0.34 and 0.63 eps |f|; c = 4 leaves a margin over both.
+    Any other problem raises there.
+
     In lockstep form ``model.theta`` is an (S, P) stack, X has shape
     (S, n, d) and soft (S, n, K): S independent problems, stepped by one
     stacked kernel call each per iteration.  Each problem stops once its own
@@ -591,6 +601,22 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
                 break
             t *= 0.5
             if t <= 1e-8:
-                raise SolverError(f"newton_optimize: no descent step at gradient norm "
-                                  f"{g_norm[todo[0]]:.3e}{problem(live[todo[0]])}")
+                # freeze the problems whose decrease is below the loss's
+                # resolution (see the docstring); raise on any other
+                dec = (g[todo] * step[todo]).sum(axis=-1)
+                flat = (dec >= 0) & (dec <= 4 * np.finfo(np.float64).eps * np.abs(f[live[todo]]))
+                if not flat.all():
+                    first = todo[~flat][0]
+                    raise SolverError(f"newton_optimize: no descent step at gradient norm "
+                                      f"{g_norm[first]:.3e}{problem(live[first])}")
+                for i, dec_i in zip(todo, dec):
+                    log.debug("newton_optimize: no descent step at gradient norm %.3e, where "
+                              "g.step %.3e is below the loss's resolution: frozen%s",
+                              g_norm[i], dec_i, problem(live[i]))
+                keep = np.ones(len(live), dtype=bool)
+                keep[todo] = False
+                if not keep.any():
+                    return model._with(theta.reshape(model.theta.shape))
+                live, X, soft, sums, p = live[keep], X[keep], soft[keep], sums[keep], p[keep]
+                break
         del p_cand

@@ -97,20 +97,17 @@ def row_max(a: np.ndarray) -> np.ndarray:
     0.0 and -0.0, so numpy reduces those rows again; on a contiguous last
     axis it gives them the bits it gives the whole array."""
     K = a.shape[-1]
-    if 0 < K < PAIRWISE_BLOCK:
-        m = a[..., 0].copy()
-        for k in range(1, K):
-            np.maximum(m, a[..., k], out=m)
-        return m
-    if (a.size < COLUMN_PASS_ROWS * K or not PAIRWISE_BLOCK <= K < 2 * PAIRWISE_BLOCK
-            or a.strides[-1] != a.itemsize):
+    short = 0 < K < PAIRWISE_BLOCK
+    if not short and (a.size < COLUMN_PASS_ROWS * K or not PAIRWISE_BLOCK <= K < 2 * PAIRWISE_BLOCK
+                      or a.strides[-1] != a.itemsize):
         return a.max(axis=-1)
     m = a[..., 0].copy()
     for k in range(1, K):
         np.maximum(m, a[..., k], out=m)
-    zero = m == 0.0
-    if zero.any():
-        m[zero] = a[zero].max(axis=-1)
+    if not short:
+        zero = m == 0.0
+        if zero.any():
+            m[zero] = a[zero].max(axis=-1)
     return m
 
 

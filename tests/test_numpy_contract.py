@@ -3,7 +3,15 @@
 numpy 2.4.6, the version the goldens were recorded with; on a numpy where
 one does not, this one test fails with one message naming all three,
 ahead of the many bit-for-bit mismatches that follow from it.
+
+The goldens' bits also rest on the kernel numpy's bundled OpenBLAS picks for
+the CPU (or from ``OPENBLAS_CORETYPE``): they were recorded on its SkylakeX
+core, and other cores round GEMM and solve results differently.  A second
+test names the running core when it is not that one.
 """
+
+import ctypes
+from pathlib import Path
 
 import numpy as np
 
@@ -13,6 +21,8 @@ CONTRACT = ("the pairwise block of 8 (a row shorter than 8 is summed left to rig
             "the identity add (a sum ends with + 0.0, so an all -0.0 row sums to 0.0)",
             "the sign of a zero max (numpy's max gives a row that mixes 0.0 and -0.0 the "
             "same zero alone as in the whole contiguous array)")
+# the OpenBLAS core the golden outputs were recorded on
+GOLDEN_CORE = "SkylakeX"
 
 
 def left_to_right(row) -> float:
@@ -67,3 +77,26 @@ def test_numpy_reductions_keep_the_assumed_order():
         f"numpy {np.__version__} does not reduce as the goldens and numcore's column passes "
         f"assume (recorded on numpy 2.4.6). They assume: {'; '.join(CONTRACT)}. "
         f"Broken here: {'; '.join(broken)}.")
+
+
+def openblas_core() -> str | None:
+    """The core numpy's bundled OpenBLAS runs, or None when no bundled
+    library exports ``scipy_openblas_get_corename64_``."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def test_openblas_runs_the_goldens_core():
+    core = openblas_core()
+    running = (f"its {core} core" if core
+               else "an unknown core (no scipy_openblas_get_corename64_ in numpy.libs)")
+    assert core == GOLDEN_CORE, (
+        f"numpy's OpenBLAS runs {running}; the goldens were recorded on its {GOLDEN_CORE} "
+        f"core, and another core can round their GEMM and solve results differently.")

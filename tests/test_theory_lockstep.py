@@ -16,7 +16,7 @@ import pytest
 
 from conftest import make_blobs
 from oracles import hessian_ref, theory_report_ref
-from unlearn_forge import cli, experiment, influence, models, numcore, smoothing
+from unlearn_forge import cli, data, experiment, influence, models, numcore, smoothing
 from unlearn_forge.config import default_config
 from unlearn_forge.errors import DimensionError, DomainError, SolverError
 from unlearn_forge.models import onehot
@@ -163,6 +163,56 @@ class TestLockstepNewton:
                                    X[0], soft[0])
 
 
+class TestConvergedAtResolution:
+    """A problem whose backtracking finds no lower loss, at a Newton
+    decrement below the loss's resolution, freezes instead of raising."""
+
+    @staticmethod
+    def stalled():
+        """θ_tr's problem of instance 2273 of the acceptance tests' generator:
+        its Newton stalls at gradient norm 1.053e-08, just above NEWTON_TOL."""
+        rng = numcore.rng_stream(0, 3273)
+        spread = float(rng.uniform(0.4, 3.5))
+        rng.uniform(0.1, 0.4)  # the forget fraction, drawn before the blobs
+        ds = data.gen_blobs(3, 20, 3, spread, 1, rng)
+        return models.init_model("logistic", 3, 3), ds.X, onehot(ds.y, 3)
+
+    @staticmethod
+    def freezes(caplog) -> list[str]:
+        return [r.getMessage() for r in caplog.records
+                if r.name == "unlearn_forge" and "frozen" in r.getMessage()]
+
+    def test_the_stalled_problem_returns_within_the_bound(self, caplog):
+        template, X, soft = self.stalled()
+        with caplog.at_level(logging.DEBUG, logger="unlearn_forge"):
+            solved = models.newton_optimize(template, X, soft)
+        assert self.freezes(caplog) == [
+            "newton_optimize: no descent step at gradient norm 1.053e-08, where g.step "
+            "5.218e-17 is below the loss's resolution: frozen"]
+        g = models.grad(solved, X, soft)
+        step = numcore.solve_damped(models.hessian(solved, X, soft), g, models.NEWTON_DAMPING)
+        f = models.ce_loss(solved, X, soft)
+        assert models.NEWTON_TOL < np.linalg.norm(g) < 1.1 * models.NEWTON_TOL
+        assert 0 <= g @ step <= 4 * np.finfo(np.float64).eps * abs(f)
+
+    def test_a_stack_freezes_it_alone(self, caplog):
+        """The stalled problem freezes at its 12th iteration; from these
+        starts, the problems after it take 11, 13 and 15, so two of them step
+        on without it."""
+        template, X, soft = TestLockstepNewton.problems()
+        _, X_stalled, soft_stalled = self.stalled()
+        X, soft = np.insert(X, 1, X_stalled, axis=0), np.insert(soft, 1, soft_stalled, axis=0)
+        start = np.random.default_rng(1).standard_normal((4, template.theta.size)) * 10
+        start = np.insert(start, 1, 0.0, axis=0)
+        with caplog.at_level(logging.DEBUG, logger="unlearn_forge"):
+            stacked = models.newton_optimize(template.with_stack(start), X, soft)
+        frozen = self.freezes(caplog)
+        assert len(frozen) == 1 and frozen[0].endswith("frozen (problem 1)")
+        for s in range(5):
+            solo = models.newton_optimize(template.with_theta(start[s]), X[s], soft[s])
+            assert same_bits(stacked.theta[s], solo.theta)
+
+
 class TestHessianChunksOverTheStack:
     """``models.hessian`` counts its chunk rows over the whole stack; each
     slice keeps its own row chunks, in order, and so its 2-D call's bits,
@@ -257,15 +307,27 @@ class TestVerifyTheoryGroups:
                                           [rep.best_alpha])
             assert float(dist[0]).hex() == rep.dist_gls_at_best_alpha.hex()
 
-    def test_groups_fill_the_budget(self):
+    @pytest.mark.parametrize("instances, sizes", [(1, [1]), (100, [100]), (121, [121]),
+                                                  (122, [121, 1]), (300, [121, 121, 58])],
+                             ids=["1", "100", "121", "122", "300"])
+    def test_groups_fill_the_budget(self, instances, sizes):
         cfg = default_config()
         ds = experiment.theory_data(cfg, 0)[0]
-        assert experiment.THEORY_GROUP_ENTRIES // (2 * ds.n * ds.K * (ds.d + 1)) == 121
-        for instances, sizes in [(100, [100]), (300, [121, 121, 58])]:
-            cfg = {**cfg, "theory.instances": instances}
-            groups = [[i for i, _ in group] for group in experiment.theory_groups(cfg)]
-            assert [len(g) for g in groups] == sizes
-            assert sum(groups, []) == list(range(instances))
+        assert experiment.GROUP_ENTRIES // (ds.n * (ds.d + ds.K)) == 121
+        cfg = {**cfg, "theory.instances": instances}
+        groups = [[i for i, _ in group] for group in experiment.theory_groups(cfg)]
+        assert [len(g) for g in groups] == sizes
+        assert sum(groups, []) == list(range(instances))
+
+    def test_one_budget_sizes_seed_and_theory_groups(self, monkeypatch):
+        cfg = {**default_config(), "theory.instances": 35}
+        ds = make_blobs(K=3, per_class=100, d=5)  # 300 rows, d + K = 8, as the default
+        seeds = list(range(30))
+        assert [len(g) for g in experiment.seed_groups(ds, seeds)] == [27, 3]
+        assert [len(g) for g in experiment.theory_groups(cfg)] == [35]
+        monkeypatch.setattr(experiment, "GROUP_ENTRIES", experiment.GROUP_ENTRIES // 4)
+        assert [len(g) for g in experiment.seed_groups(ds, seeds)] == [6] * 5
+        assert [len(g) for g in experiment.theory_groups(cfg)] == [30, 5]
 
     def test_a_failing_group_raises_the_serial_error(self, monkeypatch, caplog):
         cfg = {**default_config(), "theory.instances": 20}
@@ -314,7 +376,7 @@ class TestVerifyTheoryGroups:
         monkeypatch.setattr(experiment, "theory_data", counted)
         monkeypatch.setattr(experiment, "theory_instances", solo_only)
         # groups of 30 and 5, so both failing groups' data is built as taken
-        monkeypatch.setattr(experiment, "THEORY_GROUP_ENTRIES", experiment.THEORY_GROUP_ENTRIES // 4)
+        monkeypatch.setattr(experiment, "GROUP_ENTRIES", experiment.GROUP_ENTRIES // 4)
         report = experiment.run_verify_theory(cfg)
         assert built == list(range(35))
         monkeypatch.undo()
