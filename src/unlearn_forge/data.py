@@ -72,7 +72,9 @@ def gen_blobs(K: int, per_class: int, d: int, spread: float,
         raise DomainError("need K >= 2, per_class >= 2, d >= 1, subgroups_per_class >= 1")
     if spread < 0:
         raise DomainError("spread must be nonnegative")
-    X_parts, y_parts, g_parts = [], [], []
+    counts = np.full(subgroups_per_class, per_class // subgroups_per_class)
+    counts[: per_class % subgroups_per_class] += 1
+    X_parts = []
     scale = 4.0
     for c in range(K):
         # class means on distinct coordinate axes shifted into the positive
@@ -86,16 +88,12 @@ def gen_blobs(K: int, per_class: int, d: int, spread: float,
             mean[0] += scale * np.cos(angle)
             if d > 1:
                 mean[1] += scale * np.sin(angle)
-        counts = np.full(subgroups_per_class, per_class // subgroups_per_class)
-        counts[: per_class % subgroups_per_class] += 1
-        for s in range(subgroups_per_class):
+        for n in counts:
             offset = rng.normal(0.0, 1.0, size=d)
-            center = mean + offset
-            pts = center + spread * rng.standard_normal((counts[s], d))
-            X_parts.append(pts)
-            y_parts.append(np.full(counts[s], c, dtype=np.int64))
-            g_parts.append(np.full(counts[s], c * subgroups_per_class + s, dtype=np.int64))
-    return LabeledDataset(np.vstack(X_parts), np.concatenate(y_parts), K, np.concatenate(g_parts))
+            X_parts.append(mean + offset + spread * rng.standard_normal((n, d)))
+    y = np.repeat(np.arange(K, dtype=np.int64), per_class)
+    groups = np.repeat(np.arange(K * subgroups_per_class, dtype=np.int64), np.tile(counts, K))
+    return LabeledDataset(np.vstack(X_parts), y, K, groups)
 
 
 def split_classwise(ds: LabeledDataset, cls: int,

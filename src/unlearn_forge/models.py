@@ -30,11 +30,11 @@ call.
 
 ``newton_optimize`` runs damped Newton the same way: it steps an (S, P)
 stack of independent problems, one stacked gradient, ``hessian`` and
-``solve_damped`` call per iteration for all problems still moving and one
-stacked ``forward`` and loss per backtracking try, and each problem freezes
-on its own once converged.  The gradient starts from the probabilities the
-accepted try computed, so an iterate goes through ``forward`` twice (its
-loss, its Hessian), not three times.  One problem is the S = 1 case.
+``solve_damped`` call per iteration and one stacked ``forward`` and loss per
+backtracking try, each on all problems still live; a finished problem leaves
+in one place.  The gradient starts from the probabilities the accepted try
+computed, so an iterate goes through ``forward`` twice (its loss, its
+Hessian), not three times.  One problem is the S = 1 case.
 
 The kernels are called thousands of times on batches of a few dozen rows, so
 they reuse their own temporaries (``out=``, in-place updates) wherever that
@@ -530,20 +530,25 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
     In lockstep form ``model.theta`` is an (S, P) stack, X has shape
     (S, n, d) and soft (S, n, K): S independent problems, stepped by one
     stacked kernel call each per iteration.  Each problem stops once its own
-    gradient norm is <= NEWTON_TOL and backtracks on its own, so it ends on
-    the bits of its solo run; NEWTON_MAX_ITER bounds each problem's steps.
-    The errors of a stack of two or more name the first failing problem.  A
-    2-D call is the S = 1 case.
+    gradient norm is <= NEWTON_TOL (a NaN norm is not) or once it freezes,
+    and then leaves the stack at the top of the next iteration, its one exit.
+    It backtracks on its own, so it ends on the bits of its solo run;
+    NEWTON_MAX_ITER bounds each problem's steps.  The errors of a stack of
+    two or more name the first failing problem.  A 2-D call is the S = 1 case.
 
     Only the first loss is a checked ``ce_loss`` call, on the caller's
-    inputs.  Each backtracking try runs ``forward`` and ``_ce_loss``, and the
-    probabilities of the candidates it accepts are kept for the next
-    gradient (``_grad``'s ``p``); ``hessian`` computes its own.  X is taken
-    in C order, so any layout of X gives the bits of its C-ordered copy.
+    inputs.  Each backtracking try runs ``forward`` and ``_ce_loss`` on the
+    whole live stack; a problem accepted on an earlier try rides along between
+    its start and its accepted candidate, where its logits stay finite, unread.
+    The accepted probabilities are kept for the next gradient (``_grad``'s
+    ``p``); ``hessian`` computes its own.  On ``verify-theory``'s instances
+    the first try, t = 1, is the only one: 17 iterations and 17 tries at 100
+    instances and theory seed 0.  X is taken in C order, so any layout of X
+    gives the bits of its C-ordered copy.
     """
     if model.kind != "logistic":
         raise UnsupportedModelError("newton_optimize requires the logistic model")
-    # C order: a stacked forward on X and one on the gathered rows X[todo]
+    # C order: a stacked forward on X and one on its compacted rows X[keep]
     # then give each problem the same bits, whatever the caller's layout
     X = np.asarray(X, dtype=np.float64, order="C")
     soft = np.asarray(soft, dtype=np.float64)
@@ -559,6 +564,7 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
     sums = row_sum(soft)
     # the problems still stepping; X, soft and sums keep only their rows
     live = np.arange(S)
+    frozen = np.zeros(S, dtype=bool)  # stalled at the loss's resolution
     # forward at theta[live] when backtracking has computed it, for the gradient
     p = None
 
@@ -568,36 +574,33 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
         g = _grad(model._with(theta[live]), X, soft, sums, p=p)
         p = None  # no (S, n, K) array stays alive across the Hessian
         g_norm = np.sqrt(row_dot(g))  # the bits of np.linalg.norm on each row
-        done = g_norm <= NEWTON_TOL
-        if done.all():
+        # the one exit; a NaN norm is not converged, and its solve raises
+        keep = ~(g_norm <= NEWTON_TOL) & ~frozen[live]
+        if not keep.any():
             return model._with(theta.reshape(model.theta.shape))
-        if done.any():
-            keep = ~done
+        if not keep.all():
             live, g, g_norm = live[keep], g[keep], g_norm[keep]
             X, soft, sums = X[keep], soft[keep], sums[keep]
         if it == NEWTON_MAX_ITER:
             raise SolverError(f"newton_optimize: gradient norm {g_norm[0]:.3e} after {it} "
                               f"iterations{problem(live[0])}")
-        step = solve_damped(hessian(model._with(theta[live]), X, soft), g, NEWTON_DAMPING)
-        # backtrack: ``todo`` indexes the live problems that have not yet found
-        # a step size lowering their loss, and all of them are at the same size t.
-        # Each try's probabilities go into p before the loss overwrites them,
-        # so p ends holding every accepted candidate's
+        start = theta[live]
+        step = solve_damped(hessian(model._with(start), X, soft), g, NEWTON_DAMPING)
+        # backtrack: ``todo`` marks the live problems still looking for a step
+        # size t that lowers their loss; p keeps each accepted try's forward
         t = 1.0
-        todo = np.arange(len(live))
+        todo = np.ones(len(live), dtype=bool)
         p = np.empty(X.shape[:-1] + (model.K,))
         while True:
-            rows = live[todo]
-            cand = theta[rows] - t * step[todo]
+            cand = start - t * step
             m = model._with(cand)
-            every = len(todo) == len(live)  # as on the first try: no gather needed
-            p_cand = forward(m, X if every else X[todo])
-            p[todo] = p_cand
-            f_cand = _ce_loss(m, p_cand, soft if every else soft[todo])
-            ok = f_cand <= f[rows]
-            theta[rows[ok]], f[rows[ok]] = cand[ok], f_cand[ok]
-            todo = todo[~ok]
-            if not todo.size:
+            p_cand = forward(m, X)
+            np.copyto(p, p_cand, where=todo[:, None, None])
+            f_cand = _ce_loss(m, p_cand, soft)
+            ok = todo & (f_cand <= f[live])
+            theta[live[ok]], f[live[ok]] = cand[ok], f_cand[ok]
+            todo &= ~ok
+            if not todo.any():
                 break
             t *= 0.5
             if t <= 1e-8:
@@ -606,17 +609,13 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
                 dec = (g[todo] * step[todo]).sum(axis=-1)
                 flat = (dec >= 0) & (dec <= 4 * np.finfo(np.float64).eps * np.abs(f[live[todo]]))
                 if not flat.all():
-                    first = todo[~flat][0]
+                    first = np.flatnonzero(todo)[~flat][0]
                     raise SolverError(f"newton_optimize: no descent step at gradient norm "
                                       f"{g_norm[first]:.3e}{problem(live[first])}")
-                for i, dec_i in zip(todo, dec):
+                for i, dec_i in zip(np.flatnonzero(todo), dec):
                     log.debug("newton_optimize: no descent step at gradient norm %.3e, where "
                               "g.step %.3e is below the loss's resolution: frozen%s",
                               g_norm[i], dec_i, problem(live[i]))
-                keep = np.ones(len(live), dtype=bool)
-                keep[todo] = False
-                if not keep.any():
-                    return model._with(theta.reshape(model.theta.shape))
-                live, X, soft, sums, p = live[keep], X[keep], soft[keep], sums[keep], p[keep]
+                frozen[live[todo]] = True
                 break
         del p_cand

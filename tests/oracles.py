@@ -15,7 +15,9 @@ and ``evaluate_ref`` one model's metrics as they were written before the
 evaluation was stacked: each stacked result must equal them bit for bit.
 ``ratio_table_max_log_ratio`` is the label-LDP ratio taken over the whole
 K x K prediction table.  ``delta_r`` and ``delta_n`` are the 2-D forms of two
-influence directions the stacked theorem checks compute.
+influence directions the stacked theorem checks compute.  ``gen_blobs_ref``
+is ``data.gen_blobs`` as it was written before its labels and group ids were
+built with ``np.repeat``: one ``np.full`` per subgroup, then ``concatenate``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 import math
 
 from unlearn_forge import influence, metrics, models
+from unlearn_forge.data import LabeledDataset
 from unlearn_forge.errors import DimensionError, DomainError
 from unlearn_forge.models import Model, n_params, onehot
 from unlearn_forge.numcore import DEFAULT_DAMPING, rng_stream, solve_damped
@@ -325,3 +328,29 @@ def evaluate_ref(model: Model, forget, retain, test, seed: int) -> metrics.Metri
         ta=metrics.accuracy(model, test),
         additional_mia=100.0 * float(np.maximum(correct, n - correct).max() / n),
     )
+
+
+def gen_blobs_ref(K: int, per_class: int, d: int, spread: float,
+                  subgroups_per_class: int, rng: np.random.Generator) -> LabeledDataset:
+    """``data.gen_blobs`` on valid arguments, one subgroup's rows at a time."""
+    X_parts, y_parts, g_parts = [], [], []
+    scale = 4.0
+    for c in range(K):
+        mean = np.full(d, 0.5 * scale)
+        if d >= K:
+            mean[c] += scale
+        else:
+            angle = 2.0 * np.pi * c / K
+            mean[0] += scale * np.cos(angle)
+            if d > 1:
+                mean[1] += scale * np.sin(angle)
+        counts = np.full(subgroups_per_class, per_class // subgroups_per_class)
+        counts[: per_class % subgroups_per_class] += 1
+        for s in range(subgroups_per_class):
+            offset = rng.normal(0.0, 1.0, size=d)
+            center = mean + offset
+            pts = center + spread * rng.standard_normal((counts[s], d))
+            X_parts.append(pts)
+            y_parts.append(np.full(counts[s], c, dtype=np.int64))
+            g_parts.append(np.full(counts[s], c * subgroups_per_class + s, dtype=np.int64))
+    return LabeledDataset(np.vstack(X_parts), np.concatenate(y_parts), K, np.concatenate(g_parts))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gen_blobs_ref
 from unlearn_forge import data
 from unlearn_forge.errors import DimensionError, DomainError, StratificationError
 from unlearn_forge.numcore import rng_stream
@@ -31,6 +32,16 @@ class TestGenBlobs:
         b = data.gen_blobs(3, 7, 4, 1.0, 2, rng_stream(5, 1))
         assert a.X.tobytes() == b.X.tobytes()
         assert np.array_equal(a.y, b.y) and np.array_equal(a.groups, b.groups)
+
+    # (K, per_class, d, spread, subgroups): even counts, uneven counts, the
+    # circle layout (d < K), and a subgroup of no rows
+    @pytest.mark.parametrize("shape", [(3, 100, 5, 1.0, 2), (3, 7, 4, 1.0, 3),
+                                       (5, 11, 2, 0.5, 4), (2, 2, 3, 1.0, 3)])
+    def test_equals_the_per_subgroup_loop(self, shape):
+        ds, ref = data.gen_blobs(*shape, rng_stream(3, 10)), gen_blobs_ref(*shape, rng_stream(3, 10))
+        for a, b in [(ds.X, ref.X), (ds.y, ref.y), (ds.groups, ref.groups)]:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert ds.y.dtype == ds.groups.dtype == np.int64
 
     def test_group_ids(self):
         ds = blobs(K=2, per_class=10, subgroups=2)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
-from unlearn_forge import models, numcore
+from unlearn_forge import experiment, models, numcore
+from unlearn_forge.config import default_config
 from unlearn_forge.errors import DomainError, SolverError
 from unlearn_forge.models import onehot
 
@@ -98,6 +99,29 @@ class TestForwardCount:
         assert len(checked) == 1
 
 
+class TestTheoryTraffic:
+    """On the theory workload every Newton iteration accepts the full step for
+    every live problem, so each iteration makes exactly one backtracking try."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_verify_theory_makes_one_try_per_iteration(self, monkeypatch, seed):
+        hessians, losses = count(monkeypatch, "hessian"), count(monkeypatch, "_ce_loss")
+        newton = models.newton_optimize
+        iterations = tries = 0
+
+        def counted(*args):  # the theorem checks' own Hessians are not counted
+            nonlocal iterations, tries
+            h, c = len(hessians), len(losses)
+            solved = newton(*args)
+            iterations += len(hessians) - h
+            tries += len(losses) - c - 1  # less the checked first loss
+            return solved
+        monkeypatch.setattr(models, "newton_optimize", counted)
+        experiment.run_verify_theory({**default_config(), "theory.instances": 100,
+                                      "theory.seed": seed})
+        assert tries == iterations > 0
+
+
 class TestSoloBits:
     def test_each_problem_ends_on_its_solo_bits(self):
         template, start, X, soft = stack()
@@ -165,3 +189,32 @@ class TestBacktrackingErrors:
             models.newton_optimize(template.with_stack(start), X, soft)
         assert str(stacked.value) == (f"newton_optimize: no descent step at gradient norm "
                                       f"{norms[0]:.3e} (problem 0)")
+
+
+class TestNanGradient:
+    """A NaN gradient norm never counts as converged: its problem stays on
+    the stack, and the damped solve refuses its gradient."""
+
+    @staticmethod
+    def poison_first_gradient(monkeypatch, row):
+        grad, calls = models._grad, []
+
+        def poisoned(*args, **kwargs):
+            g = grad(*args, **kwargs)
+            if not calls:
+                g[row, 0] = np.nan
+            calls.append(1)
+            return g
+        monkeypatch.setattr(models, "_grad", poisoned)
+
+    def test_a_solo_problem_raises(self, monkeypatch):
+        template, start, X, soft = stack()
+        self.poison_first_gradient(monkeypatch, 0)
+        with pytest.raises(SolverError, match=r"^\|\|b\|\| is not finite"):
+            models.newton_optimize(template.with_theta(start[1]), X[1], soft[1])
+
+    def test_one_problem_of_a_stack_raises(self, monkeypatch):
+        template, start, X, soft = stack()
+        self.poison_first_gradient(monkeypatch, 1)
+        with pytest.raises(SolverError, match=r"^\|\|b\|\| is not finite"):
+            models.newton_optimize(template.with_stack(start), X, soft)

@@ -1,4 +1,5 @@
-"""No module in ``src/``, ``tests/`` or ``demos/`` imports a name it never reads.
+"""No module in ``src/``, ``tests/``, ``demos/`` or ``bench/`` imports a name it
+never reads.
 
 An AST pass: every name an import statement binds must appear as a name
 somewhere in the same file, or in its ``__all__``.  An import whose lines
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for top in ("src", "tests", "demos") for p in (ROOT / top).rglob("*.py"))
+FILES = sorted(p for pattern in ("src/**/*.py", "tests/**/*.py", "demos/**/*.py", "bench/*.py")
+               for p in ROOT.glob(pattern))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,7 +41,7 @@ def unused_imports(source: str) -> list[str]:
 def test_scan_covers_the_tree():
     names = {p.relative_to(ROOT).as_posix() for p in FILES}
     assert {"src/unlearn_forge/models.py", "tests/oracles.py",
-            "demos/demo_label_ldp.py"} <= names
+            "demos/demo_label_ldp.py", "bench/run.py"} <= names
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
