@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, StratificationError
 
 CSV_FLOAT_FMT = "%.17g"
+_CSV_BLOCK_ROWS = 256  # rows per format call of save_dataset
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
@@ -61,7 +62,8 @@ class ForgetSplit:
         if self.forget_idx.size == 0:
             raise DomainError("forget set is empty")
         both = np.concatenate([self.retain_idx, self.forget_idx])
-        if both.min() < 0 or np.unique(both).size != both.size:
+        # one count per row index: the indices are rows, so their largest bounds it
+        if both.min() < 0 or np.bincount(both).max() > 1:
             raise DomainError("split indices must be nonnegative, distinct and not in both sets")
 
 
@@ -74,26 +76,34 @@ def gen_blobs(K: int, per_class: int, d: int, spread: float,
         raise DomainError("spread must be nonnegative")
     counts = np.full(subgroups_per_class, per_class // subgroups_per_class)
     counts[: per_class % subgroups_per_class] += 1
-    X_parts = []
     scale = 4.0
-    for c in range(K):
-        # class means on distinct coordinate axes shifted into the positive
-        # orthant when the dimension allows (a class removed from training
-        # then scores uniformly low on its own blob), else on a circle
-        mean = np.full(d, 0.5 * scale)
-        if d >= K:
-            mean[c] += scale
-        else:
-            angle = 2.0 * np.pi * c / K
-            mean[0] += scale * np.cos(angle)
-            if d > 1:
-                mean[1] += scale * np.sin(angle)
+    # class means on distinct coordinate axes shifted into the positive
+    # orthant when the dimension allows (a class removed from training then
+    # scores uniformly low on its own blob), else on a circle
+    means = np.full((K, d), 0.5 * scale)
+    if d >= K:
+        for c in range(K):
+            means[c, c] += scale
+    else:
+        angle = 2.0 * np.pi * np.arange(K) / K
+        means[:, 0] += scale * np.cos(angle)
+        if d > 1:
+            means[:, 1] += scale * np.sin(angle)
+    # each subgroup's rows are drawn straight into X, then scaled and shifted
+    # in place: spread * z + (mean + offset), the bits of the sum written out
+    X = np.empty((K * per_class, d))
+    lo = 0
+    for mean in means:
         for n in counts:
             offset = rng.normal(0.0, 1.0, size=d)
-            X_parts.append(mean + offset + spread * rng.standard_normal((n, d)))
+            rows = X[lo:lo + n]
+            rng.standard_normal(out=rows)
+            rows *= spread
+            rows += mean + offset
+            lo += n
     y = np.repeat(np.arange(K, dtype=np.int64), per_class)
     groups = np.repeat(np.arange(K * subgroups_per_class, dtype=np.int64), np.tile(counts, K))
-    return LabeledDataset(np.vstack(X_parts), y, K, groups)
+    return LabeledDataset(X, y, K, groups)
 
 
 def split_classwise(ds: LabeledDataset, cls: int,
@@ -112,9 +122,12 @@ def split_random(ds: LabeledDataset, fraction: float, rng: np.random.Generator) 
     """Stratified random forgetting: floor(fraction * n_c) rows per class."""
     if not (0.0 < fraction < 1.0):
         raise DomainError("fraction must be in (0, 1)")
+    # each class's rows in increasing order, from one stable sort of the labels
+    by_class = np.argsort(ds.y, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(ds.y, minlength=ds.K))))
     forget_parts = []
     for c in range(ds.K):
-        rows = np.flatnonzero(ds.y == c)
+        rows = by_class[bounds[c]:bounds[c + 1]]
         take = int(np.floor(fraction * rows.size))
         if take < 1:
             raise StratificationError(f"fraction {fraction} gives no forget rows for class {c}")
@@ -150,9 +163,15 @@ def save_dataset(ds: LabeledDataset, path) -> None:
     fmt = ",".join([CSV_FLOAT_FMT] * ds.d + ["%d"] * len(ids)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        # one row at a time: a whole-array tolist() would hold every value as a Python float
-        for x, *row_ids in zip(ds.X, *ids):
-            fh.write(fmt % (*x.tolist(), *row_ids))
+        # _CSV_BLOCK_ROWS rows per % call, their values in one object array
+        # (Python floats and ints, row by row); a whole-array one would hold
+        # every value of the file as a Python object
+        for lo in range(0, ds.n, _CSV_BLOCK_ROWS):
+            block = np.empty((min(_CSV_BLOCK_ROWS, ds.n - lo), len(cols)), dtype=object)
+            block[:, :ds.d] = ds.X[lo:lo + _CSV_BLOCK_ROWS]
+            for j, col in enumerate(ids, start=ds.d):
+                block[:, j] = col[lo:lo + _CSV_BLOCK_ROWS]
+            fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def load_dataset(path, K: int | None = None) -> LabeledDataset:

@@ -305,8 +305,8 @@ def theory_groups(cfg: dict):
     entries as a seed does; data is built as groups are taken, so one
     group's is held at a time.  A group's probabilities and stacked products
     grow with it: ``theory.instances = 100`` makes one group, whose
-    tracemalloc peak above the call's start reads up to 1,311 KiB in a
-    stacked Newton and 1,630 KiB in its stacked theorem check (seeds 0 and
+    tracemalloc peak above the call's start reads up to 1,318 KiB in a
+    stacked Newton and 1,583 KiB in its stacked theorem check (seeds 0 and
     7)."""
     K, per_class, d = _THEORY_SHAPE
     for group in _groups(range(cfg["theory.instances"]), K * per_class * (d + K)):

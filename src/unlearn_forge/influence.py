@@ -22,7 +22,9 @@ sequence of S equal-shaped datasets give S reports, each with the bits of
 its own 2-D call, from one stacked kernel call per term.  A 2-D call is the
 S = 1 case.  Each check builds the two sum Hessians it needs once:
 H_tr(theta_r) serves delta_r and the Theorem-1 residual, H_r(theta_tr)
-serves delta_f and delta_n.
+serves delta_f and delta_n.  H_tr(theta_r) and the sum gradient delta_r
+solves for share one forward (``models.hessian``'s ``p``), so a theorem-2
+check runs 7 forwards over its 6 distinct (theta, rows) pairs.
 """
 
 from __future__ import annotations
@@ -57,6 +59,15 @@ def _sum_hessian(model: Model, X, y) -> np.ndarray:
 
 def _sum_grad(model: Model, X, y) -> np.ndarray:
     return X.shape[-2] * models.grad(model, X, onehot(y, model.K))
+
+
+def _sum_hessian_and_grad(model: Model, X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``_sum_hessian`` and ``_sum_grad`` from one forward, which the Hessian
+    reads and the gradient then overwrites."""
+    X, soft = np.asarray(X, dtype=np.float64), onehot(y, model.K)
+    p = models.forward(model, X)
+    H = X.shape[-2] * models.hessian(model, X, soft, p)
+    return H, X.shape[-2] * models._grad(model, X, soft, p=p)
 
 
 @dataclass
@@ -186,9 +197,9 @@ def _check(theta_tr_model: Model, theta_r_model: Model, tr, retain, forget,
     # every norm is the root of a row dot, the bits of np.linalg.norm on each row
     grad_norm_tr = np.sqrt(row_dot(models.grad(theta_tr_model, X_tr, onehot(y_tr, K))))
     grad_norm_r = np.sqrt(row_dot(models.grad(theta_r_model, X_r, onehot(y_r, K))))
-    H_tr_at_r = _sum_hessian(theta_r_model, X_tr, y_tr)
+    H_tr_at_r, g_tr_at_r = _sum_hessian_and_grad(theta_r_model, X_tr, y_tr)
     H_r_at_tr = _sum_hessian(theta_tr_model, X_r, y_r)
-    dr = solve_damped(H_tr_at_r, _sum_grad(theta_r_model, X_tr, y_tr), damping)
+    dr = solve_damped(H_tr_at_r, g_tr_at_r, damping)
     df = solve_damped(H_r_at_tr, _sum_grad(theta_tr_model, X_f, y_f), damping)
     dist_ga = np.sqrt(row_dot(dr - df))
     dist_noop = np.sqrt(row_dot(dr))

@@ -32,9 +32,9 @@ call.
 stack of independent problems, one stacked gradient, ``hessian`` and
 ``solve_damped`` call per iteration and one stacked ``forward`` and loss per
 backtracking try, each on all problems still live; a finished problem leaves
-in one place.  The gradient starts from the probabilities the accepted try
-computed, so an iterate goes through ``forward`` twice (its loss, its
-Hessian), not three times.  One problem is the S = 1 case.
+in one place.  The gradient and the Hessian both start from the
+probabilities the accepted try computed, so an iterate goes through
+``forward`` once, for its loss.  One problem is the S = 1 case.
 
 The kernels are called thousands of times on batches of a few dozen rows, so
 they reuse their own temporaries (``out=``, in-place updates) wherever that
@@ -320,8 +320,11 @@ def _grad(model: Model, X: np.ndarray, soft: np.ndarray, sums=None,
     return g
 
 
-def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
-    """Exact Hessian of ce_loss for the logistic model.
+def hessian(model: Model, X: np.ndarray, soft: np.ndarray,
+            p: np.ndarray | None = None) -> np.ndarray:
+    """Exact Hessian of ce_loss for the logistic model.  ``p``, when given,
+    is ``forward(model, X)`` already computed; it is read, not written, and
+    no forward runs.
 
     Per example the cross-entropy Hessian w.r.t. the logits is
     ``S * (diag(p) - p p^T)`` with ``S`` the soft-label row sum, so the result
@@ -355,7 +358,8 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
     if n == 0:
         lead = np.broadcast_shapes(model.theta.shape[:-1], X.shape[:-2], soft.shape[:-2])
         return np.broadcast_to(model.l2 * np.eye(P), lead + (P, P)).copy()
-    p = forward(model, X)
+    if p is None:
+        p = forward(model, X)
     lead = p.shape[:-2]
     m = d + 1
     # the stack's instances along one axis; rows without the stack's leading
@@ -389,15 +393,17 @@ def hessian(model: Model, X: np.ndarray, soft: np.ndarray) -> np.ndarray:
             SB_T = SB.swapaxes(-1, -2)
             gram[inst] += SB_T @ B
             blocks[inst] += SB_T @ Xt
-    del p  # before the reorder's stacked copies
     (rows, cols), (perm_rows, perm_cols) = _hessian_index(K, d)
     H_aug = np.negative(gram, out=gram)
     H_aug[..., rows, cols] += blocks
     H_aug /= n
-    # advanced indexing lays a stack out with the stack axis innermost; in C
-    # order each slice is laid out as its 2-D call's result, so a BLAS
-    # product on a slice (``H[s] @ v``) rounds as it does on that result
-    H = np.ascontiguousarray(H_aug[..., perm_rows, perm_cols]).reshape(lead + (P, P))
+    del p, blocks  # before the reorder's copy (a caller's p stays the caller's)
+    # advanced indexing lays a stack out with the stack axis innermost; copied
+    # back into H_aug, in C order, each slice is laid out as its 2-D call's
+    # result, so a BLAS product on a slice (``H[s] @ v``) rounds as it does on
+    # that result, and the reorder holds one stacked copy, not two
+    np.copyto(H_aug, H_aug[..., perm_rows, perm_cols])
+    H = H_aug.reshape(lead + (P, P))
     H += H.swapaxes(-1, -2)
     H *= 0.5
     H += model.l2 * np.eye(P)
@@ -540,8 +546,11 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
     inputs.  Each backtracking try runs ``forward`` and ``_ce_loss`` on the
     whole live stack; a problem accepted on an earlier try rides along between
     its start and its accepted candidate, where its logits stay finite, unread.
-    The accepted probabilities are kept for the next gradient (``_grad``'s
-    ``p``); ``hessian`` computes its own.  On ``verify-theory``'s instances
+    The accepted probabilities are kept for the next gradient, which gets a
+    copy (``_grad``'s ``p``, overwritten), and the next Hessian (``hessian``'s
+    ``p``, read), as are the first iterate's: an iterate goes through
+    ``forward`` once, and a run makes 1 + 1 + tries forwards (the checked
+    loss, the first iterate, each try).  On ``verify-theory``'s instances
     the first try, t = 1, is the only one: 17 iterations and 17 tries at 100
     instances and theory seed 0.  X is taken in C order, so any layout of X
     gives the bits of its C-ordered copy.
@@ -562,17 +571,17 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
     f = np.ravel(ce_loss(model, X, soft))
     X, soft = X.reshape((S,) + X.shape[-2:]), soft.reshape((S,) + soft.shape[-2:])
     sums = row_sum(soft)
-    # the problems still stepping; X, soft and sums keep only their rows
+    # the problems still stepping; X, soft, sums and p keep only their rows
     live = np.arange(S)
     frozen = np.zeros(S, dtype=bool)  # stalled at the loss's resolution
-    # forward at theta[live] when backtracking has computed it, for the gradient
-    p = None
+    # forward at theta[live], for the gradient and the Hessian: computed for
+    # the first iterate, then kept from each accepted backtracking try
+    p = forward(model._with(theta), X)
 
     def problem(s):  # names problem s in the errors of a stack of two or more
         return f" (problem {s})" if S > 1 else ""
     for it in range(NEWTON_MAX_ITER + 1):
-        g = _grad(model._with(theta[live]), X, soft, sums, p=p)
-        p = None  # no (S, n, K) array stays alive across the Hessian
+        g = _grad(model._with(theta[live]), X, soft, sums, p=p.copy())
         g_norm = np.sqrt(row_dot(g))  # the bits of np.linalg.norm on each row
         # the one exit; a NaN norm is not converged, and its solve raises
         keep = ~(g_norm <= NEWTON_TOL) & ~frozen[live]
@@ -580,17 +589,17 @@ def newton_optimize(model: Model, X: np.ndarray, soft: np.ndarray) -> Model:
             return model._with(theta.reshape(model.theta.shape))
         if not keep.all():
             live, g, g_norm = live[keep], g[keep], g_norm[keep]
-            X, soft, sums = X[keep], soft[keep], sums[keep]
+            X, soft, sums, p = X[keep], soft[keep], sums[keep], p[keep]
         if it == NEWTON_MAX_ITER:
             raise SolverError(f"newton_optimize: gradient norm {g_norm[0]:.3e} after {it} "
                               f"iterations{problem(live[0])}")
         start = theta[live]
-        step = solve_damped(hessian(model._with(start), X, soft), g, NEWTON_DAMPING)
+        step = solve_damped(hessian(model._with(start), X, soft, p), g, NEWTON_DAMPING)
         # backtrack: ``todo`` marks the live problems still looking for a step
-        # size t that lowers their loss; p keeps each accepted try's forward
+        # size t that lowers their loss; p, which the Hessian only read, now
+        # keeps each accepted try's forward
         t = 1.0
         todo = np.ones(len(live), dtype=bool)
-        p = np.empty(X.shape[:-1] + (model.K,))
         while True:
             cand = start - t * step
             m = model._with(cand)

@@ -17,7 +17,10 @@ evaluation was stacked: each stacked result must equal them bit for bit.
 K x K prediction table.  ``delta_r`` and ``delta_n`` are the 2-D forms of two
 influence directions the stacked theorem checks compute.  ``gen_blobs_ref``
 is ``data.gen_blobs`` as it was written before its labels and group ids were
-built with ``np.repeat``: one ``np.full`` per subgroup, then ``concatenate``.
+built with ``np.repeat`` and its rows drawn into one array: one ``np.full``
+per subgroup, then ``concatenate`` and ``vstack``.  ``split_random_ref`` is
+``data.split_random`` with one ``flatnonzero`` per class, and
+``save_dataset_ref`` is ``data.save_dataset`` with one ``%`` call per row.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 import math
 
 from unlearn_forge import influence, metrics, models
-from unlearn_forge.data import LabeledDataset
+from unlearn_forge.data import ForgetSplit, LabeledDataset
 from unlearn_forge.errors import DimensionError, DomainError
 from unlearn_forge.models import Model, n_params, onehot
 from unlearn_forge.numcore import DEFAULT_DAMPING, rng_stream, solve_damped
@@ -354,3 +357,32 @@ def gen_blobs_ref(K: int, per_class: int, d: int, spread: float,
             y_parts.append(np.full(counts[s], c, dtype=np.int64))
             g_parts.append(np.full(counts[s], c * subgroups_per_class + s, dtype=np.int64))
     return LabeledDataset(np.vstack(X_parts), np.concatenate(y_parts), K, np.concatenate(g_parts))
+
+
+def split_random_ref(ds: LabeledDataset, fraction: float, rng: np.random.Generator) -> ForgetSplit:
+    """``data.split_random`` on valid arguments as it was written before each
+    class's rows came from one sort of the labels: one ``flatnonzero`` per
+    class."""
+    forget_parts = []
+    for c in range(ds.K):
+        rows = np.flatnonzero(ds.y == c)
+        take = int(np.floor(fraction * rows.size))
+        forget_parts.append(rng.choice(rows, size=take, replace=False))
+    forget = np.sort(np.concatenate(forget_parts))
+    mask = np.ones(ds.n, dtype=bool)
+    mask[forget] = False
+    return ForgetSplit(np.flatnonzero(mask), forget)
+
+
+def save_dataset_ref(ds: LabeledDataset, path) -> None:
+    """``data.save_dataset`` one row per ``%`` call."""
+    cols = [f"f{i}" for i in range(ds.d)] + ["label"]
+    ids = [ds.y]
+    if ds.groups is not None:
+        cols.append("group")
+        ids.append(ds.groups)
+    fmt = ",".join(["%.17g"] * ds.d + ["%d"] * len(ids)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for x, *row_ids in zip(ds.X, *ids):
+            fh.write(fmt % (*x.tolist(), *row_ids))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gen_blobs_ref
-from unlearn_forge import data
+from oracles import gen_blobs_ref, save_dataset_ref, split_random_ref
+from unlearn_forge import data, experiment
+from unlearn_forge.config import default_config
 from unlearn_forge.errors import DimensionError, DomainError, StratificationError
 from unlearn_forge.numcore import rng_stream
 
@@ -115,6 +116,43 @@ class TestSplitRandom:
             data.split_random(ds, 1.0, rng_stream(0, 2))
 
 
+class TestSplitRandomRows:
+    """Each class's rows come from one stable sort of the labels: the same
+    rows, in the same order, as one ``flatnonzero`` per class, so each draw
+    picks the same rows."""
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("K, per_class, fraction", [(3, 30, 0.2), (4, 15, 0.2), (2, 50, 0.1),
+                                                        (5, 7, 0.5)])
+    def test_equals_the_per_class_loop(self, K, per_class, fraction, shuffled):
+        ds = blobs(K=K, per_class=per_class)
+        if shuffled:  # labels in no order
+            ds = ds.subset(np.random.default_rng(K).permutation(ds.n))
+        got = data.split_random(ds, fraction, rng_stream(9, 2))
+        want = split_random_ref(ds, fraction, rng_stream(9, 2))
+        for a, b in [(got.retain_idx, want.retain_idx), (got.forget_idx, want.forget_idx)]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def theory_data_ref(cfg, index):
+    """``experiment.theory_data`` from the reference generator and split."""
+    rng = rng_stream(cfg["theory.seed"], 100 + index)
+    K, per_class, d = experiment._THEORY_SHAPE
+    spread = float(rng.uniform(0.6, 3.0))
+    ds = gen_blobs_ref(K, per_class, d, spread, 1, rng)
+    split = split_random_ref(ds, 0.2, rng)
+    return ds, ds.subset(split.retain_idx), ds.subset(split.forget_idx)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_theory_data_equals_the_reference_loops(seed):
+    cfg = {**default_config(), "theory.seed": seed}
+    for i in range(300):
+        for got, want in zip(experiment.theory_data(cfg, i), theory_data_ref(cfg, i)):
+            for a, b in [(got.X, want.X), (got.y, want.y), (got.groups, want.groups)]:
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestSplitGroup:
     def test_single_subgroup(self):
         ds = blobs(K=2, per_class=10, subgroups=2)
@@ -199,6 +237,19 @@ class TestFileRoundTrip:
         path = tmp_path / "ds.csv"
         data.save_dataset(ds, path)
         assert path.read_bytes() == text.encode()
+
+    # the large scale's shape (K = 10, d = 20): n = 10,000 ends on a part block
+    # of 16 rows, 512 on a whole one
+    @pytest.mark.parametrize("n", [10_000, 512, 1, 0])
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_blocks_write_the_bytes_of_one_row_per_call(self, tmp_path, n, grouped):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 20)) * 10.0 ** rng.integers(-300, 300, size=(n, 20))
+        groups = rng.integers(-2 ** 62, 2 ** 62, size=n) if grouped else None
+        ds = data.LabeledDataset(X, rng.integers(10, size=n), 10, groups)
+        data.save_dataset(ds, tmp_path / "blocks.csv")
+        save_dataset_ref(ds, tmp_path / "rows.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "bad.csv"

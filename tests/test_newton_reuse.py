@@ -1,14 +1,14 @@
 """Damped Newton reuses each accepted try's probabilities for the next
-gradient: one ``forward`` per Hessian and one per backtracking try, plus the
-checked first loss and the first gradient, and every problem of a stack
-still ends on the bits of its solo run and of the plain loop below.
+gradient and Hessian: one ``forward`` per backtracking try, plus the checked
+first loss and the first iterate's, and every problem of a stack still ends
+on the bits of its solo run and of the plain loop below.
 """
 
 import numpy as np
 import pytest
 
 from conftest import make_blobs
-from unlearn_forge import experiment, models, numcore
+from unlearn_forge import experiment, influence, models, numcore, smoothing
 from unlearn_forge.config import default_config
 from unlearn_forge.errors import DomainError, SolverError
 from unlearn_forge.models import onehot
@@ -66,17 +66,17 @@ def count(monkeypatch, name) -> list:
 
 
 class TestForwardCount:
-    def test_solo_run_makes_two_forwards_plus_one_per_hessian_and_try(self, monkeypatch):
+    def test_solo_run_makes_two_forwards_plus_one_per_try(self, monkeypatch):
         template, start, X, soft = stack()
         model = template.with_theta(start[1])
         _, sizes, tries = newton_ref(model, X[1], soft[1])
         assert tries > len(sizes)  # some step is cut back
         forwards = count(monkeypatch, "forward")
         models.newton_optimize(model, X[1], soft[1])
-        # the checked loss, the first gradient, then one per Hessian and per try
-        assert len(forwards) == 1 + 1 + len(sizes) + tries
+        # the checked loss, the first iterate, then one per try
+        assert len(forwards) == 1 + 1 + tries
 
-    def test_stacked_run_makes_two_forwards_plus_one_per_hessian_and_try(self, monkeypatch):
+    def test_stacked_run_makes_two_forwards_plus_one_per_try(self, monkeypatch):
         template, start, X, soft = stack()
         forwards = count(monkeypatch, "forward")
         hessians = count(monkeypatch, "hessian")
@@ -84,7 +84,7 @@ class TestForwardCount:
         models.newton_optimize(template.with_stack(start), X, soft)
         iterations, tries = len(hessians), len(losses) - 1
         assert tries > iterations > 0
-        assert len(forwards) == 1 + 1 + iterations + tries
+        assert len(forwards) == 1 + 1 + tries
 
     def test_a_problem_done_at_its_start_takes_the_checked_loss_and_one_gradient(self, monkeypatch):
         template, start, X, soft = stack()
@@ -97,6 +97,44 @@ class TestForwardCount:
         checked = count(monkeypatch, "ce_loss")
         models.newton_optimize(template.with_stack(start), X, soft)
         assert len(checked) == 1
+
+
+class TestHessianReadsP:
+    """``hessian`` given ``p = forward(model, X)`` runs no forward of its own,
+    gives the bits of the call without it and leaves ``p`` as it was."""
+
+    @pytest.mark.parametrize("S", [1, 3, 10])
+    @pytest.mark.parametrize("n", [1, 7, 90, 1025])  # 1025 crosses a chunk boundary
+    @pytest.mark.parametrize("d, K", [(3, 3), (20, 10)])
+    def test_equals_the_call_that_runs_its_own_forward(self, monkeypatch, d, K, n, S):
+        rng = np.random.default_rng(S * 10_000 + n * 10 + K)
+        m = models.init_model("logistic", d, K).with_stack(rng.standard_normal((S, K * d + K)))
+        X = rng.standard_normal((S, n, d))
+        soft = smoothing.gls_labels(rng.integers(K, size=(S, n)), K, -rng.uniform(0, 2, (S, n)))
+        want = models.hessian(m, X, soft)
+        p = models.forward(m, X)
+        kept = p.copy()
+        p.flags.writeable = False  # a write raises
+        forwards = count(monkeypatch, "forward")
+        assert same_bits(models.hessian(m, X, soft, p), want)
+        assert same_bits(p, kept) and not forwards
+
+
+class TestTheoremCheckForwards:
+    def test_a_stacked_theorem2_check_makes_seven_forwards(self, monkeypatch):
+        cfg = {**default_config(), "theory.instances": 4}
+        sets, retains, forgets = zip(*(experiment.theory_data(cfg, i) for i in range(4)))
+        d, K = sets[0].d, sets[0].K
+        stack = models.init_model("logistic", d, K, cfg["model.l2"]).with_stack(np.zeros((4, K * d + K)))
+
+        def optimum(parts):
+            return models.newton_optimize(stack, np.stack([s.X for s in parts]),
+                                          onehot(np.stack([s.y for s in parts]), K))
+        theta_tr, theta_r = optimum(sets), optimum(retains)
+        forwards = count(monkeypatch, "forward")
+        influence.check_theorem2(theta_tr, theta_r, sets, retains, forgets, np.array([-0.5, -0.1]))
+        # six distinct (theta, rows) pairs; (theta_tr, forget) serves two traced calls
+        assert len(forwards) == 7
 
 
 class TestTheoryTraffic:
