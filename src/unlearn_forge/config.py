@@ -147,7 +147,7 @@ def file_named_by(source: str, path):
 
 def parse_seeds(spec: str) -> list[int]:
     """Seed list: '3', '0,1,2', or inclusive range '0..4'; at least one seed,
-    none negative."""
+    none negative, none named twice."""
     spec = spec.strip()
     try:
         if ".." in spec:
@@ -161,4 +161,9 @@ def parse_seeds(spec: str) -> list[int]:
         raise ConfigError(f"seed list {spec!r} names no seed")
     if min(seeds) < 0:
         raise ConfigError(f"seed list {spec!r} names a negative seed")
+    seen = set()
+    for seed in seeds:
+        if seed in seen:
+            raise ConfigError(f"seed list {spec!r} names seed {seed} more than once")
+        seen.add(seed)
     return seeds

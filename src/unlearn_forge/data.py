@@ -72,8 +72,8 @@ def gen_blobs(K: int, per_class: int, d: int, spread: float,
     """Gaussian clusters; each class is split into subgroups with offset means."""
     if K < 2 or per_class < 2 or d < 1 or subgroups_per_class < 1:
         raise DomainError("need K >= 2, per_class >= 2, d >= 1, subgroups_per_class >= 1")
-    if spread < 0:
-        raise DomainError("spread must be nonnegative")
+    if not 0 <= spread < np.inf:  # false for nan too
+        raise DomainError(f"spread is {spread}: negative or not finite")
     counts = np.full(subgroups_per_class, per_class // subgroups_per_class)
     counts[: per_class % subgroups_per_class] += 1
     scale = 4.0
@@ -174,10 +174,10 @@ def save_dataset(ds: LabeledDataset, path) -> None:
             fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
 
 
-def load_dataset(path, K: int | None = None) -> LabeledDataset:
-    """Inverse of save_dataset; K defaults to max(label) + 1.  Every
-    DomainError names the file and a bad row's line: ``<path>: line 3:
-    label -1 < 0``."""
+def load_dataset(path, K: int) -> LabeledDataset:
+    """Inverse of save_dataset.  K always comes from the caller, and every
+    label is checked against it.  Every DomainError names the file and a bad
+    row's line: ``<path>: line 3: label -1 < 0``."""
     try:
         with open(path) as fh:
             header = fh.readline().strip()
@@ -193,14 +193,12 @@ def load_dataset(path, K: int | None = None) -> LabeledDataset:
                 fh.seek(start)
                 rows = _parse_rows_by_line(fh, d, has_group, K)
         X, y, groups = rows
-        if K is None:
-            K = int(y.max()) + 1 if y.size else 2
         return LabeledDataset(X, y, K, groups)
     except DomainError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _parse_rows(fh, d: int, has_group: bool, K: int | None):
+def _parse_rows(fh, d: int, has_group: bool, K: int):
     """The rows after the header through numpy's C parser, as (X, y, groups);
     None when it rejects a row, a feature is not finite or a label is outside
     [0, K), for ``_parse_rows_by_line`` to name the line."""
@@ -213,12 +211,12 @@ def _parse_rows(fh, d: int, has_group: bool, K: int | None):
         return None
     X = np.ascontiguousarray(rows["x"]).reshape(rows.size, d)
     y = rows["y"]
-    if not np.isfinite(X).all() or y.size and (y.min() < 0 or K is not None and y.max() >= K):
+    if not np.isfinite(X).all() or y.size and (y.min() < 0 or y.max() >= K):
         return None
     return X, y.copy(), rows["g"].copy() if has_group else None
 
 
-def _parse_rows_by_line(fh, d: int, has_group: bool, K: int | None):
+def _parse_rows_by_line(fh, d: int, has_group: bool, K: int):
     """``_parse_rows`` one line at a time, naming the first bad line."""
     n_ids = 2 if has_group else 1
     X_rows, id_rows = [], []
@@ -241,7 +239,7 @@ def _parse_rows_by_line(fh, d: int, has_group: bool, K: int | None):
         label = id_rows[-1][0]
         if label < 0:
             raise DomainError(f"line {lineno}: label {label} < 0")
-        if K is not None and label >= K:
+        if label >= K:
             raise DomainError(f"line {lineno}: label {label} >= K={K}")
     X = np.array(X_rows, dtype=np.float64).reshape(len(X_rows), d)
     ids = np.array(id_rows, dtype=np.int64).reshape(len(id_rows), n_ids)

@@ -21,11 +21,6 @@ class DimensionError(DomainError):
     """Shape or dimension mismatch between arrays."""
 
 
-class ModelFileError(ConfigError, DomainError):
-    """A model file that describes no valid ``Model``: an input file to fix, so
-    a config error (exit 2), carrying the DomainError of building the Model."""
-
-
 class SolverError(UnlearnForgeError):
     """A linear solve failed to reach the required residual."""
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ModelFileError
+from .errors import ConfigError, DomainError
 from .models import Model
 
 MAGIC = "unlearn-forge-model v1"
@@ -58,4 +58,4 @@ def load_model(path) -> Model:
     try:
         return Model(kind=kind, theta=theta, d=d, K=K, l2=l2, hidden=hidden)
     except DomainError as exc:
-        raise ModelFileError(f"model file {path}: {exc}") from exc
+        raise ConfigError(f"model file {path}: {exc}") from exc

@@ -135,7 +135,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.lr < 0:
+        if self.epochs < 0 or self.batch_size < 1 or not 0 <= self.lr < np.inf:  # nan too
             raise DomainError("invalid training configuration")
 
 

@@ -58,8 +58,8 @@ def solve_damped(A: np.ndarray, b: np.ndarray, damping: float = 0.0) -> np.ndarr
         raise DimensionError(f"expected square matrix, got shape {A.shape}")
     if b.shape != A.shape[:-1]:
         raise DimensionError(f"rhs length {b.shape} does not match matrix {A.shape}")
-    if damping < 0:
-        raise DomainError("damping must be nonnegative")
+    if not 0 <= damping < np.inf:  # false for nan too
+        raise DomainError(f"damping is {damping}: negative or not finite")
     M = A + damping * np.eye(A.shape[-1])
     try:
         # each b goes in as one (P, 1) right-hand side: numpy reads a

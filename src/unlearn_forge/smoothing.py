@@ -33,8 +33,8 @@ class SmoothingPolicy:
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
             raise DomainError(f"unknown smoothing mode {self.mode!r}")
-        if self.mode == "fixed" and self.alpha > 1:
-            raise DomainError("fixed smooth rate must be <= 1")
+        if self.mode == "fixed" and not -np.inf < self.alpha <= 1:  # false for nan too
+            raise DomainError(f"fixed smooth rate must be <= 1 and finite, got {self.alpha}")
         if self.mode == "adaptive" and not (0.0 <= self.beta <= 1.0):
             raise DomainError("beta must be in [0, 1]")
 

@@ -56,8 +56,8 @@ class UnlearnConfig(TrainConfig):
             raise DomainError(f"unknown unlearning method {self.method!r}")
         if not (0.0 <= self.p <= 1.0):
             raise DomainError("p must be in [0, 1]")
-        if self.damping < 0:
-            raise DomainError("damping must be nonnegative")
+        if not 0 <= self.damping < np.inf:  # false for nan too
+            raise DomainError(f"damping is {self.damping}: negative or not finite")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from unlearn_forge import cli, data, experiment, models, unlearn
 from unlearn_forge.config import SCHEMA, default_config, parse_config, parse_seeds
-from unlearn_forge.errors import ConfigError
+from unlearn_forge.errors import ConfigError, DomainError
 from unlearn_forge.modelio import load_model, save_model
 
 
@@ -58,6 +58,12 @@ class TestConfig:
             parse_seeds("5..2")
         with pytest.raises(ConfigError):
             parse_seeds("a,b")
+
+    @pytest.mark.parametrize("spec, seed", [("0,0,1", 0), ("1,0,2,0,1", 0), ("3, 3", 3)])
+    def test_repeated_seed_rejected(self, spec, seed):
+        with pytest.raises(ConfigError) as err:
+            parse_seeds(spec)
+        assert str(err.value) == f"seed list {spec!r} names seed {seed} more than once"
 
     @pytest.mark.parametrize("spec", ["-1", "-3..2", "0,-1"])
     def test_negative_seed_rejected(self, spec):
@@ -214,7 +220,7 @@ class TestSubcommands:
         out = tmp_path / "ds.csv"
         code = cli.main(["gen-data", "--config", write_cfg(tmp_path), "--out", str(out)])
         assert code == 0
-        ds = data.load_dataset(out)
+        ds = data.load_dataset(out, 3)
         assert ds.n == 60 and ds.d == 5
 
     def test_gen_data_requires_out(self, tmp_path):
@@ -422,6 +428,17 @@ class TestInputErrors:
             monkeypatch.setattr(module, "build_datasets", fail)
         assert cli.main(argv + ["--config", write_cfg(tmp_path)]) == 2
         assert "negative seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["benchmark", "--seeds", "0,0,1"],
+                                      ["unlearn", "--method", "ga"]])
+    def test_repeated_seed_exit_2_before_work(self, tmp_path, capsys, monkeypatch, argv):
+        def fail(*_):
+            raise AssertionError("called before the seed list was checked")
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "build_datasets", fail)
+        assert cli.main(argv + ["--config", write_cfg(tmp_path, "seeds = 0,0,1\n")]) == 2
+        assert capsys.readouterr().err == ("error: config: seed list '0,0,1' names seed 0 more "
+                                           "than once\n")
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exit_2_before_work(self, tmp_path, capsys, monkeypatch, jobs):
@@ -875,6 +892,12 @@ class TestModelFileDescribesNoModel:
         p = self.model_file(tmp_path, kind, d, K, hidden, count)
         with pytest.raises(ConfigError, match=re.escape(f"model file {p}: {reason}")):
             load_model(p)
+
+    @pytest.mark.parametrize("kind, d, K, hidden, count, reason", NO_MODEL_HEADERS)
+    def test_is_not_a_domain_error(self, tmp_path, kind, d, K, hidden, count, reason):
+        with pytest.raises(ConfigError) as err:
+            load_model(self.model_file(tmp_path, kind, d, K, hidden, count))
+        assert not isinstance(err.value, DomainError)
 
     @pytest.mark.parametrize("kind, d, K, hidden, count, reason", NO_MODEL_HEADERS)
     def test_unlearn_exit_2(self, tmp_path, capsys, kind, d, K, hidden, count, reason):

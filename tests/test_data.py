@@ -219,7 +219,7 @@ class TestFileRoundTrip:
         ds = blobs(subgroups=2)
         path = tmp_path / "ds.csv"
         data.save_dataset(ds, path)
-        back = data.load_dataset(path)
+        back = data.load_dataset(path, K=ds.K)
         assert back.X.tobytes() == ds.X.tobytes()
         assert np.array_equal(back.y, ds.y)
         assert np.array_equal(back.groups, ds.groups)
@@ -261,27 +261,27 @@ class TestFileRoundTrip:
         path = tmp_path / "nogroup.csv"
         ds = data.LabeledDataset(np.array([[0.25], [1.5]]), np.array([0, 1]), 2)
         data.save_dataset(ds, path)
-        back = data.load_dataset(path)
+        back = data.load_dataset(path, K=2)
         assert back.groups is None
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("a,b,c\n")
         with pytest.raises(DomainError):
-            data.load_dataset(path)
+            data.load_dataset(path, K=2)
 
     @pytest.mark.parametrize("header", ["label", "label,group"])
     def test_header_without_features(self, tmp_path, header):
         path = tmp_path / "h.csv"
         path.write_text(f"{header}\n")
         with pytest.raises(DomainError, match=re.escape(f"{path}: malformed dataset header")):
-            data.load_dataset(path)
+            data.load_dataset(path, K=2)
 
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("f0,label\n0.5\n")
         with pytest.raises(DomainError):
-            data.load_dataset(path)
+            data.load_dataset(path, K=2)
 
     @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
                            min_size=1, max_size=20))
@@ -301,4 +301,4 @@ class TestNonFiniteFeatures:
         path = tmp_path / "nf.csv"
         path.write_text(f"f0,f1,label\n0.5,1.0,0\n\n0.25,{value},1\n")
         with pytest.raises(DomainError, match=rf"^{re.escape(str(path))}: line 4: non-finite"):
-            data.load_dataset(path)
+            data.load_dataset(path, K=2)

@@ -88,7 +88,7 @@ class TestLabelStrings:
     def test_label_int_rejects_names_the_line(self, tmp_path, label):
         path = write(tmp_path, f"f0,f1,label\n1,2,0\n0.5,1.5,{label}\n")
         with pytest.raises(DomainError) as err:
-            data.load_dataset(path)
+            data.load_dataset(path, 40)
         with pytest.raises(ValueError) as expected:
             int(label)
         assert str(err.value) == f"{path}: line 3: {expected.value}"
@@ -99,26 +99,26 @@ class TestLabelStrings:
             path = write(tmp_path, text)
             with pytest.raises(DomainError, match=rf"^{re.escape(str(path))}: line \d: label or "
                                                   "group id outside"):
-                data.load_dataset(path)
+                data.load_dataset(path, 2)
 
     def test_int64_bounds_load(self, tmp_path):
         path = write(tmp_path, "f0,label,group\n0.5,0,9223372036854775807\n"
                                "0.5,1,-9223372036854775808\n")
-        assert data.load_dataset(path).groups.tolist() == [2 ** 63 - 1, -2 ** 63]
+        assert data.load_dataset(path, 2).groups.tolist() == [2 ** 63 - 1, -2 ** 63]
 
 
 class TestFeatureStrings:
     @pytest.mark.parametrize("value", ["1_0", " 1.5", "1.5 ", "+.5", ".5e-3", "4.9e-324", "١.٥"])
     def test_feature_means_what_float_makes_of_it(self, tmp_path, value):
         path = write(tmp_path, f"f0,label\n{value},1\n")
-        assert data.load_dataset(path).X.tolist() == [[float(value)]]
+        assert data.load_dataset(path, 2).X.tolist() == [[float(value)]]
 
     @pytest.mark.parametrize("value", ["1e400", "-Infinity", "NaN"])
     def test_non_finite_names_the_line(self, tmp_path, value):
         path = write(tmp_path, f"f0,label\n0.5,1\n{value},0\n")
         with pytest.raises(DomainError, match=rf"^{re.escape(str(path))}: line 3: non-finite "
                                               "feature value$"):
-            data.load_dataset(path)
+            data.load_dataset(path, 2)
 
     @pytest.mark.parametrize("text, message", [
         ("f0,label\n0.5,1,\n", "line 2: expected 2 fields, got 3"),
@@ -130,7 +130,7 @@ class TestFeatureStrings:
     def test_rejected_rows_keep_their_message(self, tmp_path, text, message):
         path = write(tmp_path, text)
         with pytest.raises(DomainError) as err:
-            data.load_dataset(path)
+            data.load_dataset(path, 2)
         assert str(err.value) == f"{path}: {message}"
 
     def test_label_past_k_names_the_line(self, tmp_path):
@@ -138,6 +138,10 @@ class TestFeatureStrings:
         with pytest.raises(DomainError) as err:
             data.load_dataset(path, 3)
         assert str(err.value) == f"{path}: line 4: label 3 >= K=3"
+
+    def test_k_comes_from_the_caller(self, tmp_path):
+        back = data.load_dataset(write(tmp_path, "f0,label\n0.5,1\n0.25,0\n"), 3)
+        assert back.K == 3 and back.y.tolist() == [1, 0]
 
     @pytest.mark.parametrize("text", ["f0,label\n", "f0,label\n\n\n", "f0,label\r\n0.5,1\r\n\r\n"])
     def test_blank_lines_and_crlf(self, tmp_path, text):

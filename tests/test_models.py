@@ -4,7 +4,8 @@ import pytest
 from conftest import make_blobs, random_model
 from oracles import finite_diff_grad, hessian_einsum
 from unlearn_forge import cli, models
-from unlearn_forge.errors import DimensionError, DomainError, SolverError, UnsupportedModelError
+from unlearn_forge.errors import (ConfigError, DimensionError, DomainError, SolverError,
+                                  UnsupportedModelError)
 from unlearn_forge.modelio import load_model
 from unlearn_forge.models import Model, TrainConfig, ce_loss, forward, grad, hessian, onehot
 from unlearn_forge.smoothing import gls_labels
@@ -283,5 +284,5 @@ class TestModelValidation:
         p = tmp_path / "h.model"
         p.write_text(f"unlearn-forge-model v1\nkind mlp\nd 3\nK 2\nhidden {hidden}\nl2 0.01\n"
                      "theta 2\n0\n0\n")
-        with pytest.raises(DomainError, match="hidden >= 1"):
+        with pytest.raises(ConfigError, match="hidden >= 1"):
             load_model(p)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs, random_model
-from unlearn_forge import cli, data, models, smoothing
+from unlearn_forge import cli, data, models, smoothing, unlearn
 from unlearn_forge.errors import DimensionError, DomainError, SolverError, UnsupportedModelError
 from unlearn_forge.metrics import mia_accuracy_additional, mia_score, streisand
 from unlearn_forge.modelio import save_model
@@ -40,11 +40,38 @@ def test_split_classwise_on_data_lacking_the_class():
         data.split_classwise(two, 2)
 
 
+# each float a constructor checks, built with value v; a library caller who
+# skips config reaches these, so each accepts exactly its SCHEMA interval
+# ("[0, inf)", and "(-inf, 1]" for the fixed smooth rate): a NaN, which
+# passes a lone `v < 0`, and the infinities stop there
+FLOAT_FIELDS = {
+    "TrainConfig.lr": lambda v: models.TrainConfig(lr=v),
+    "UnlearnConfig.damping": lambda v: unlearn.UnlearnConfig(method="iu", damping=v),
+    "SmoothingPolicy.alpha": lambda v: smoothing.SmoothingPolicy(mode="fixed", alpha=v),
+    "gen_blobs.spread": lambda v: data.gen_blobs(2, 2, 1, v, 1, np.random.default_rng(0)),
+    "solve_damped.damping": lambda v: solve_damped(np.eye(2), np.ones(2), v),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_non_finite_float_stops_at_its_constructor(field, value):
+    with pytest.raises(DomainError):
+        FLOAT_FIELDS[field](value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("TrainConfig.lr", 0.0), ("UnlearnConfig.damping", 0.0), ("SmoothingPolicy.alpha", 1.0),
+    ("SmoothingPolicy.alpha", -1e308), ("gen_blobs.spread", 0.0), ("solve_damped.damping", 0.0)])
+def test_closed_and_finite_ends_are_accepted(field, value):
+    FLOAT_FIELDS[field](value)
+
+
 def test_load_dataset_with_unnamed_feature_columns(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("x0,label\n0.5,1\n")
     with pytest.raises(DomainError, match="malformed dataset header: 'x0,label'"):
-        data.load_dataset(path)
+        data.load_dataset(path, 2)
 
 
 class TestModel:
